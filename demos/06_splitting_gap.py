@@ -1,8 +1,10 @@
 """A family showing the splitting construction is not tight.
 
-The builder produces, for each k >= 3, a (k+1)-uniform hypergraph that is
-properly splitted yet whose connectivity value rises by one when a common
-apex vertex joins all its edges.  Contrast with splitting edges, where the
+build_counterexample_family(k) gives, for each k >= 3, a hypergraph that
+is not uniform (pairs and triples from an acyclic block, one edge of size
+k, and pairs joining the block to it; the k = 3 member has edge sizes 2
+and 3).  It is properly splitted, yet its connectivity value rises by one
+when a common apex vertex joins all its edges.  Contrast with splitting edges, where the
 value is preserved.
 """
 

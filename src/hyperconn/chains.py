@@ -20,6 +20,14 @@ vertex v is a decomposition vertex when its neighborhood induces a
 d-complete hypergraph and v lies in at most two edges of any proper
 irredundant chain; a hypergraph is triangulated when every nonempty
 induced subhypergraph has a decomposition vertex.
+
+Every search over proper chains runs through one depth-first walk,
+_walk, which extends a chain edge by edge in canonical edge and pivot
+order and hands each chain it reaches to a visit callback: True stops the
+search, False skips that chain's extensions, None extends it.  Distance
+queries visit until the target edge appears, under iterative deepening;
+the decomposition-vertex check visits until it meets an irredundant chain
+with v in three of its edges.
 """
 
 from __future__ import annotations
@@ -150,6 +158,38 @@ def is_irredundant(C: Hypergraph, chain: ProperChain) -> bool:
     return True
 
 
+def _walk(all_edges, seq: list, pivots: list, used: set, cap: int, visit) -> bool:
+    """Depth-first search over the proper chains that extend seq.
+
+    Calls visit(seq, pivots) on seq and then on every extension of at most
+    cap pivots, in canonical edge and pivot order.  True from visit stops
+    the whole search and is returned with seq and pivots left holding the
+    chain it stopped at; False skips that chain's extensions; None extends
+    it.  Returns False, with seq and pivots restored, when nothing stopped.
+    """
+    verdict = visit(seq, pivots)
+    if verdict is not None:
+        return verdict
+    if len(pivots) >= cap:
+        return False
+    last = seq[-1]
+    for e in all_edges:
+        if e in seq or len(last & e) != len(e) - 1:
+            continue
+        for x in sorted(last & e):
+            if x in used:
+                continue
+            seq.append(e)
+            pivots.append(x)
+            used.add(x)
+            if _walk(all_edges, seq, pivots, used, cap, visit):
+                return True
+            used.discard(x)
+            pivots.pop()
+            seq.pop()
+    return False
+
+
 def shortest_chain(
     C: Hypergraph, F, G, max_length: int | None = None
 ) -> ProperChain | None:
@@ -168,40 +208,17 @@ def shortest_chain(
     if F == G:
         return ProperChain(edges=(F,), pivots=())
     limit = len(C.edges) - 1 if max_length is None else max_length
-    all_edges = C.edges
+    seq: list = [F]
+    pivots: list = []
 
-    def extend(seq: list, pivots: list, used_p: set, depth: int) -> ProperChain | None:
-        last = seq[-1]
-        if last == G:
-            return ProperChain(edges=tuple(seq), pivots=tuple(pivots))
-        if depth == 0:
-            return None
-        for e in all_edges:
-            if e in seq:
-                continue
-            if len(last & e) != len(e) - 1:
-                continue
-            if depth > 1 and e == G:
-                continue  # reaching G early would have been found at a
-                # smaller deepening level
-            for x in sorted(last & e):
-                if x in used_p:
-                    continue
-                seq.append(e)
-                pivots.append(x)
-                used_p.add(x)
-                out = extend(seq, pivots, used_p, depth - 1)
-                if out is not None:
-                    return out
-                used_p.discard(x)
-                pivots.pop()
-                seq.pop()
-        return None
+    def at_g(seq: list, pivots: list) -> bool | None:
+        # a chain reaching G below the current depth would have been found
+        # at a smaller deepening level, so G is only ever met at full depth
+        return True if seq[-1] == G else None
 
     for depth in range(1, limit + 1):
-        out = extend([F], [], set(), depth)
-        if out is not None:
-            return out
+        if _walk(C.edges, seq, pivots, set(), depth, at_g):
+            return ProperChain(edges=tuple(seq), pivots=tuple(pivots))
     return None
 
 
@@ -292,64 +309,25 @@ def is_splitting_edge(C: Hypergraph, F) -> bool:
     return find_splitting_vertex(C, F) is not None
 
 
-def _chain_occurrences_ok(
-    C: Hypergraph, v: int, limit: int = 2, count_pivots: bool = False,
-    max_length: int | None = None,
-) -> bool:
-    """No proper irredundant chain of C carries v in more than limit edges.
+def _chain_occurrences_ok(C: Hypergraph, v: int) -> bool:
+    """No proper irredundant chain of C carries v in more than two edges.
 
-    With count_pivots the count also adds one when v serves as a pivot
-    (the alternative reading of the occurrence condition).  Every prefix
-    of a proper chain is a proper chain, so the search tests each prefix
-    whose count first exceeds the limit and keeps extending either way.
+    Every prefix of a proper chain is a proper chain, so the search tests
+    each prefix whose count exceeds two and keeps extending either way.
     """
-    v_edges = [e for e in C.edges if v in e]
-    if len(v_edges) + (1 if count_pivots else 0) <= limit:
+    if C.degree(v) <= 2:
         return True
-    all_edges = C.edges
-    cap = len(all_edges) - 1 if max_length is None else max_length
 
-    def over_limit(seq: list, pivots: list) -> bool:
-        cnt = sum(1 for e in seq if v in e)
-        if count_pivots and v in pivots:
-            cnt += 1
-        return cnt > limit
+    def violates(seq: list, pivots: list) -> bool | None:
+        if sum(1 for e in seq if v in e) > 2 and is_irredundant(
+            C, ProperChain(edges=tuple(seq), pivots=tuple(pivots))
+        ):
+            return True
+        return None
 
-    def extend(seq: list, pivots: list, used_p: set) -> bool:
-        """Returns True when a violating irredundant chain was found."""
-        if over_limit(seq, pivots):
-            chain = ProperChain(edges=tuple(seq), pivots=tuple(pivots))
-            if is_irredundant(C, chain):
-                return True
-        if len(pivots) >= cap:
-            return False
-        remaining_v = sum(1 for e in v_edges if e not in seq)
-        cnt = sum(1 for e in seq if v in e)
-        if count_pivots:
-            remaining_v += 0 if v in pivots else 1
-            if v in pivots:
-                cnt += 1
-        if cnt + remaining_v <= limit:
-            return False
-        last = seq[-1]
-        for e in all_edges:
-            if e in seq or len(last & e) != len(e) - 1:
-                continue
-            for x in sorted(last & e):
-                if x in used_p:
-                    continue
-                seq.append(e)
-                pivots.append(x)
-                used_p.add(x)
-                if extend(seq, pivots, used_p):
-                    return True
-                used_p.discard(x)
-                pivots.pop()
-                seq.pop()
-        return False
-
-    for start in all_edges:
-        if extend([start], [], set()):
+    cap = len(C.edges) - 1
+    for start in C.edges:
+        if _walk(C.edges, [start], [], set(), cap, violates):
             return False
     return True
 
@@ -361,9 +339,7 @@ def _neighborhood_complete(C: Hypergraph, v: int, d: int) -> bool:
     return all(C.has_edge(frozenset(s)) for s in combinations(sorted(nbrs), d))
 
 
-def find_decomposition_vertex(
-    C: Hypergraph, count_pivots: bool = False, _memo: dict | None = None
-) -> int | None:
+def find_decomposition_vertex(C: Hypergraph, _memo: dict | None = None) -> int | None:
     """Smallest vertex whose neighborhood induces a d-complete hypergraph
     and which sits in at most two edges of every proper irredundant chain.
 
@@ -376,6 +352,7 @@ def find_decomposition_vertex(
     d = C.uniform_size()
     if d is None and C.edges:
         raise NotUniform("decomposition vertices need a d-uniform hypergraph")
+    memo = {} if _memo is None else _memo
     for v in sorted(C.vertices):
         if not C.edges:
             return v
@@ -383,21 +360,15 @@ def find_decomposition_vertex(
             continue
         if d == 2:
             return v
-        if _memo is not None:
-            key = (C._edge_set, v)
-            if key not in _memo:
-                _memo[key] = _chain_occurrences_ok(C, v, count_pivots=count_pivots)
-            ok = _memo[key]
-        else:
-            ok = _chain_occurrences_ok(C, v, count_pivots=count_pivots)
-        if ok:
+        key = (C._edge_set, v)
+        if key not in memo:
+            memo[key] = _chain_occurrences_ok(C, v)
+        if memo[key]:
             return v
     return None
 
 
-def is_triangulated(
-    C: Hypergraph, cap: int | None = None, count_pivots: bool = False
-) -> bool:
+def is_triangulated(C: Hypergraph, cap: int | None = None) -> bool:
     """Every nonempty induced subhypergraph has a decomposition vertex.
 
     Exponential in the vertex count; raises CapacityExceeded above the cap
@@ -421,10 +392,7 @@ def is_triangulated(
             continue  # an isolated vertex of the induced part qualifies
         key = sub._edge_set
         if key not in ememo:
-            ememo[key] = (
-                find_decomposition_vertex(sub, count_pivots=count_pivots, _memo=vmemo)
-                is not None
-            )
+            ememo[key] = find_decomposition_vertex(sub, _memo=vmemo) is not None
         if not ememo[key]:
             return False
     return True

@@ -106,16 +106,14 @@ def d_set(C: Hypergraph, v: int) -> tuple:
     return tuple(sorted(out, key=lambda s: tuple(sorted(s))))
 
 
-def homotopy_type_triangulated(
-    C: Hypergraph, strict: bool = False, count_pivots: bool = False
-) -> HomotopyType:
+def homotopy_type_triangulated(C: Hypergraph, strict: bool = False) -> HomotopyType:
     """Wedge-of-spheres type of the independence complex.
 
     Preconditions are checked lazily: each recursion step must find a
     decomposition vertex, else NotTriangulated.  With strict=True the full
     triangulated property is verified up front.
     """
-    if strict and not is_triangulated(C, count_pivots=count_pivots):
+    if strict and not is_triangulated(C):
         raise NotTriangulated("input is not triangulated")
     memo: dict = {}
     vmemo: dict = {}
@@ -132,7 +130,7 @@ def homotopy_type_triangulated(
             d = H.uniform_size()
             if d is None:
                 raise NotUniform("homotopy synthesis needs a d-uniform hypergraph")
-            v = find_decomposition_vertex(H, count_pivots=count_pivots, _memo=vmemo)
+            v = find_decomposition_vertex(H, _memo=vmemo)
             if v is None:
                 raise NotTriangulated(f"no decomposition vertex in {H!r}")
             dims: list = []

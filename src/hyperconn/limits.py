@@ -2,25 +2,36 @@
 
 import os
 
+from .errors import ValidationError
+
 DEFAULT_VERTEX_CAP = 25
 DEFAULT_PSI_BUDGET = 1_000_000
 DEFAULT_TRIANGULATED_CAP = 16
 DEFAULT_COMBINATION_CAP = 10_000_000
 
 
-def vertex_cap(override: int | None = None) -> int:
+def _limit(override: int | None, name: str, default: int) -> int:
+    """The override if given, else the environment variable, else the
+    default; a variable that is not a nonnegative integer is rejected."""
     if override is not None:
         return override
-    return int(os.environ.get("HYPERCONN_VERTEX_CAP", DEFAULT_VERTEX_CAP))
+    raw = os.environ.get(name, str(default))
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValidationError(f"{name}={raw!r} is not an integer") from None
+    if value < 0:
+        raise ValidationError(f"{name}={raw!r} is negative")
+    return value
+
+
+def vertex_cap(override: int | None = None) -> int:
+    return _limit(override, "HYPERCONN_VERTEX_CAP", DEFAULT_VERTEX_CAP)
 
 
 def psi_budget(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return int(os.environ.get("HYPERCONN_PSI_BUDGET", DEFAULT_PSI_BUDGET))
+    return _limit(override, "HYPERCONN_PSI_BUDGET", DEFAULT_PSI_BUDGET)
 
 
 def triangulated_cap(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return int(os.environ.get("HYPERCONN_TRIANGULATED_CAP", DEFAULT_TRIANGULATED_CAP))
+    return _limit(override, "HYPERCONN_TRIANGULATED_CAP", DEFAULT_TRIANGULATED_CAP)

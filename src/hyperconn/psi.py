@@ -109,6 +109,39 @@ def _component_mask(edges: tuple) -> int:
     return comp
 
 
+def _children(vmask: int, edges: tuple) -> list:
+    """(capped branch value or None, edge index) for every edge, in search
+    order, classified without building any contraction.
+
+    The residual vertex mask follows from the singleton differences alone:
+    when it is empty psi(C:F) = 0 and the cap is |F| - 1; when it holds one
+    vertex the residual carries no edge and the cap is infinite; otherwise
+    the cap is unknown (None) until the contraction is built.  Known finite
+    caps come first, largest first, since they raise the best min early and
+    later children are skipped against it; then unknown caps in edge order;
+    then infinite caps, whose min is the deletion value itself.
+    """
+    finite = []
+    unknown = []
+    infinite = []
+    for i, f in enumerate(edges):
+        nf = ~f
+        s = 0
+        for e in edges:
+            d = e & nf
+            if d and not d & (d - 1):
+                s |= d
+        vp = vmask & nf & ~s
+        if vp == 0:
+            finite.append((f.bit_count() - 1, i))
+        elif not vp & (vp - 1):
+            infinite.append((INF, i))
+        else:
+            unknown.append((None, i))
+    finite.sort(reverse=True)
+    return finite + unknown + infinite
+
+
 class PsiSolver:
     """Exact psi evaluation over bitmask states with a shared window table."""
 
@@ -234,42 +267,17 @@ class PsiSolver:
         return v
 
     def _descend(self, vmask: int, edges: tuple) -> ExtNat:
-        if vmask == 0:
-            return 0
-        if not edges:
-            return INF
-        cover = 0
-        for e in edges:
-            cover |= e
-        if vmask & ~cover:
-            return INF
-        if self.decompose_components and len(edges) > 1:
-            comp = _component_mask(edges)
-            if comp != vmask:
-                inside = tuple(e for e in edges if e & comp)
-                outside = tuple(e for e in edges if not e & comp)
-                return self._value_descent(comp, inside) + self._value_descent(
-                    vmask & ~comp, outside
-                )
+        lo, hi = self._new_entry(vmask, edges)
+        if lo == hi:
+            return lo
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceeded(f"psi node budget {self.budget} exhausted")
         best_cap = -1
         best_i = -1
-        for i, f in enumerate(edges):
-            nf = ~f
-            s = 0
-            for e in edges:
-                d = e & nf
-                if d and not d & (d - 1):
-                    s |= d
-            vp = vmask & nf & ~s
-            if vp == 0:
-                cap: ExtNat = f.bit_count() - 1
-            elif not vp & (vp - 1):
-                cap = INF
-            else:
-                cap = self._contract_value(vmask, edges, i) + f.bit_count() - 1
+        for cap, i in sorted(_children(vmask, edges), key=lambda c: c[1]):
+            if cap is None:
+                cap = self._contract_value(vmask, edges, i) + edges[i].bit_count() - 1
             if cap == INF:
                 # an infinite capped branch makes its deletion preserving
                 # whether the value is finite or not
@@ -304,39 +312,30 @@ class PsiSolver:
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceeded(f"psi node budget {self.budget} exhausted")
-        # classify children without building contractions: residual vertex
-        # mask from the singleton differences only
-        finite = []
-        lazy = []
-        infs = []
-        for i, f in enumerate(edges):
-            nf = ~f
-            s = 0
-            for e in edges:
-                d = e & nf
-                if d and not d & (d - 1):
-                    s |= d
-            vp = vmask & nf & ~s
-            if vp == 0:
-                finite.append((f.bit_count() - 1, i))
-            elif not vp & (vp - 1):
-                infs.append(i)
-            else:
-                lazy.append(i)
-        finite.sort(reverse=True)
         r = ent[0]
         u_acc: ExtNat = -1
         cut = False
-        # known finite caps first, largest first: they raise the best min
-        # early and later children are skipped against it
-        for m1, i in finite:
+        for m1, i in _children(vmask, edges):
             a = r if r > alpha else alpha
+            rest = None
+            if m1 is None:
+                # unknown cap: probe the deletion branch first; if it comes
+                # back dominated the contraction never needs to be built
+                rest = edges[:i] + edges[i + 1 :]
+                d_lo, d_hi = self._search(vmask, rest, a, beta)
+                if d_hi <= a:
+                    if d_hi > u_acc:
+                        u_acc = d_hi
+                    continue
+                m1 = self._contract_value(vmask, edges, i) + edges[i].bit_count() - 1
             if m1 <= a:
                 if m1 > u_acc:
                     u_acc = m1
                 continue
+            if rest is None:
+                rest = edges[:i] + edges[i + 1 :]
             b = m1 if m1 < beta else beta
-            d_lo, d_hi = self._search(vmask, edges[:i] + edges[i + 1 :], a, b)
+            d_lo, d_hi = self._search(vmask, rest, a, b)
             min_lo = d_lo if d_lo < m1 else m1
             min_hi = d_hi if d_hi < m1 else m1
             if min_hi > u_acc:
@@ -346,45 +345,6 @@ class PsiSolver:
             if r >= beta:
                 cut = True
                 break
-        if not cut:
-            # unknown caps: probe the deletion branch first; if it comes
-            # back dominated the contraction never needs to be built
-            for i in lazy:
-                a = r if r > alpha else alpha
-                rest = edges[:i] + edges[i + 1 :]
-                d_lo, d_hi = self._search(vmask, rest, a, beta)
-                if d_hi <= a:
-                    if d_hi > u_acc:
-                        u_acc = d_hi
-                    continue
-                m1 = self._contract_value(vmask, edges, i) + edges[i].bit_count() - 1
-                if m1 <= a:
-                    if m1 > u_acc:
-                        u_acc = m1
-                    continue
-                b = m1 if m1 < beta else beta
-                d_lo, d_hi = self._search(vmask, rest, a, b)
-                min_lo = d_lo if d_lo < m1 else m1
-                min_hi = d_hi if d_hi < m1 else m1
-                if min_hi > u_acc:
-                    u_acc = min_hi
-                if min_lo > r:
-                    r = min_lo
-                if r >= beta:
-                    cut = True
-                    break
-        if not cut:
-            # infinite caps last: the min is the deletion value itself
-            for i in infs:
-                a = r if r > alpha else alpha
-                d_lo, d_hi = self._search(vmask, edges[:i] + edges[i + 1 :], a, beta)
-                if d_hi > u_acc:
-                    u_acc = d_hi
-                if d_lo > r:
-                    r = d_lo
-                if r >= beta:
-                    cut = True
-                    break
         if r > ent[0]:
             ent[0] = r
         if not cut and u_acc < ent[1]:

@@ -111,6 +111,39 @@ def chain_distance(edges, F, G) -> float:
     return INF
 
 
+def _has_pivots(seq) -> bool:
+    """Whether some distinct pivots make the edge sequence a proper chain."""
+    n = len(seq) - 1
+    if any(len(seq[i] & seq[i + 1]) != len(seq[i + 1]) - 1 for i in range(n)):
+        return False
+    pools = [sorted(seq[k - 1] & seq[k]) for k in range(1, n + 1)]
+    return any(len(set(c)) == n for c in itertools.product(*pools))
+
+
+def max_irredundant_occurrences(edges, v) -> int:
+    """Most edges containing v in any proper irredundant chain.
+
+    Enumerates every sequence of distinct edges; one is a proper chain when
+    some choice of distinct pivots fits it, and irredundant when no strict
+    subsequence keeping its first and last edge is a proper chain.
+    """
+    es = [frozenset(e) for e in edges]
+    best = 0
+    for k in range(1, len(es) + 1):
+        for seq in itertools.permutations(es, k):
+            count = sum(1 for e in seq if v in e)
+            if count <= best or not _has_pivots(seq):
+                continue
+            shortcut = any(
+                _has_pivots((seq[0], *mid, seq[-1]))
+                for r in range(k - 2)
+                for mid in itertools.combinations(seq[1:-1], r)
+            )
+            if not shortcut:
+                best = count
+    return best
+
+
 def total_domination(vertices, edges) -> float:
     """Total domination number of a graph; INF when some vertex has no
     neighbor."""

@@ -1,5 +1,6 @@
 """Proper chains: distance, connectivity, triangulation, contraction laws."""
 
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from hyperconn import (
     is_triangulated,
     shortest_chain,
 )
+from hyperconn.chains import _chain_occurrences_ok
 from hyperconn.fixtures import cycle_hypergraph, path_hypergraph
 from hyperconn.generators import (
     all_graphs,
@@ -177,6 +179,22 @@ class TestTriangulated:
         for _ in range(8):
             H = random_triangulated_uniform(rng, 3, 8)
             assert is_triangulated(H)
+
+    def test_occurrence_condition_matches_oracle(self):
+        # dense 3-uniform instances on 6 vertices, where the occurrence
+        # condition both holds and fails
+        rng = random.Random(58)
+        triples = list(itertools.combinations(range(1, 7), 3))
+        seen = set()
+        for _ in range(20):
+            H = Hypergraph(range(1, 7), rng.sample(triples, rng.randint(4, 7)))
+            for v in sorted(H.vertices):
+                if H.degree(v) < 3:
+                    continue
+                ok = oracles.max_irredundant_occurrences(H.edges, v) <= 2
+                assert _chain_occurrences_ok(H, v) == ok, (H, v)
+                seen.add(ok)
+        assert seen == {True, False}
 
 
 class TestSplitting:

@@ -1,8 +1,11 @@
 """Command line interface: outputs and exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperconn.cli import main
 
@@ -194,3 +197,61 @@ class TestExitCodes:
         assert code == 0
         payload = json.loads(out)
         assert payload["ok"] is True
+
+
+# each limit variable with a command that reads it
+LIMIT_COMMANDS = {
+    "HYPERCONN_VERTEX_CAP": ["homology"],
+    "HYPERCONN_PSI_BUDGET": ["psi"],
+    "HYPERCONN_TRIANGULATED_CAP": ["check", "--triangulated"],
+}
+
+
+@pytest.fixture(scope="module")
+def p3_file(tmp_path_factory):
+    p = tmp_path_factory.mktemp("env") / "p3.txt"
+    p.write_text("1 2\n2 3\n")
+    return str(p)
+
+
+class TestEnvironmentLimits:
+    @pytest.mark.parametrize("var", sorted(LIMIT_COMMANDS))
+    @pytest.mark.parametrize("raw", ["abc", "-5", "1.5", ""])
+    def test_bad_value_is_input_error(self, capsys, monkeypatch, p3_file, var, raw):
+        monkeypatch.setenv(var, raw)
+        command = LIMIT_COMMANDS[var]
+        code, _, err = run(capsys, command[0], p3_file, *command[1:])
+        assert code == 2
+        assert var in err
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.integers(-3, 10**6).map(str),
+                st.text(
+                    st.characters(
+                        blacklist_categories=("Cs",), blacklist_characters="\x00"
+                    ),
+                    max_size=12,
+                ),
+            ),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    def test_any_environment_exits_cleanly(self, p3_file, values):
+        with pytest.MonkeyPatch.context() as mp:
+            for var, raw in zip(sorted(LIMIT_COMMANDS), values):
+                if raw is None:
+                    mp.delenv(var, raising=False)
+                else:
+                    mp.setenv(var, raw)
+            for command in (["psi"], ["conn"], ["check", "--triangulated"]):
+                argv = [command[0], p3_file, *command[1:]]
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 2, 3, 4), (argv, values)
+                assert "Traceback" not in err.getvalue()
