@@ -11,7 +11,6 @@ value is preserved.
 from hyperconn import (
     Hypergraph,
     build_counterexample_family,
-    is_properly_splitted,
     properly_splitted_witness,
     psi,
 )
@@ -20,8 +19,8 @@ H = build_counterexample_family(3)
 sizes = sorted({len(E) for E in H.edges})
 print(f"the k=3 member: {len(H.vertices)} vertices, {len(H.edges)} edges "
       f"of sizes {sizes}")
-print(f"  properly splitted: {is_properly_splitted(H)}")
 witness = properly_splitted_witness(H)
+print(f"  properly splitted: {witness is not None}")
 print(f"  split order found: {len(witness.edge_sequence())} steps")
 
 value = psi(H, cap_preservation=True)

@@ -27,7 +27,10 @@ order and hands each chain it reaches to a visit callback: True stops the
 search, False skips that chain's extensions, None extends it.  Distance
 queries visit until the target edge appears, under iterative deepening;
 the decomposition-vertex check visits until it meets an irredundant chain
-with v in three of its edges.
+with v in three of its edges.  Irredundance is a _walk query too: a chain
+of length n is redundant exactly when a walk from its first edge, over its
+own edges taken in increasing index order, reaches its last edge within
+n - 1 pivots.
 """
 
 from __future__ import annotations
@@ -105,59 +108,6 @@ def is_proper_chain(C: Hypergraph, chain: ProperChain) -> bool:
     return True
 
 
-def _feasible_pivots(edges: list) -> tuple | None:
-    """Pivot assignment for an edge sequence, or None.
-
-    Checks the intersection law, then backtracks for distinct pivots
-    x_k in E_{k-1} & E_k.
-    """
-    n = len(edges) - 1
-    for i in range(n):
-        if len(edges[i] & edges[i + 1]) != len(edges[i + 1]) - 1:
-            return None
-    chosen: list = []
-    used: set = set()
-
-    def place(k: int) -> bool:
-        if k > n:
-            return True
-        for x in sorted(edges[k - 1] & edges[k]):
-            if x not in used:
-                used.add(x)
-                chosen.append(x)
-                if place(k + 1):
-                    return True
-                chosen.pop()
-                used.discard(x)
-        return False
-
-    if place(1):
-        return tuple(chosen)
-    return None
-
-
-def is_irredundant(C: Hypergraph, chain: ProperChain) -> bool:
-    """True when no strict edge subsequence is again a proper chain.
-
-    The candidate subsequences keep the first and last edge and preserve
-    order; their pivots are re-derived by search.  Raises ValidationError
-    if the input is not a proper chain of C.
-    """
-    if not is_proper_chain(C, chain):
-        raise ValidationError("not a proper chain")
-    edges = [frozenset(e) for e in chain.edges]
-    n = len(edges) - 1
-    if n <= 1:
-        return True
-    interior = list(range(1, n))
-    for keep in range(n - 1):
-        for subset in combinations(interior, keep):
-            seq = [edges[0]] + [edges[i] for i in subset] + [edges[n]]
-            if _feasible_pivots(seq) is not None:
-                return False
-    return True
-
-
 def _walk(all_edges, seq: list, pivots: list, used: set, cap: int, visit) -> bool:
     """Depth-first search over the proper chains that extend seq.
 
@@ -188,6 +138,40 @@ def _walk(all_edges, seq: list, pivots: list, used: set, cap: int, visit) -> boo
             pivots.pop()
             seq.pop()
     return False
+
+
+def _redundant(edges: list) -> bool:
+    """Whether a strict subsequence of the proper chain's edges, first and
+    last kept and order preserved, carries pivots making it proper.
+
+    A _walk from the first edge over the chain's own edges, in increasing
+    index order and with at most n - 1 pivots, reaching the last edge.
+    Later edges are offered first, so long jumps toward the last edge are
+    tried before short steps; the verdict does not depend on that order.
+    """
+    if len(edges) <= 2:
+        return False
+    index = {e: i for i, e in enumerate(edges)}
+    last = edges[-1]
+
+    def shortcut(seq: list, pivots: list) -> bool | None:
+        if len(seq) > 1 and index[seq[-1]] < index[seq[-2]]:
+            return False
+        return True if seq[-1] == last else None
+
+    return _walk(edges[::-1], [edges[0]], [], set(), len(edges) - 2, shortcut)
+
+
+def is_irredundant(C: Hypergraph, chain: ProperChain) -> bool:
+    """True when no strict edge subsequence is again a proper chain.
+
+    The candidate subsequences keep the first and last edge and preserve
+    order; the search for one is a _walk query over the chain's edges.
+    Raises ValidationError if the input is not a proper chain of C.
+    """
+    if not is_proper_chain(C, chain):
+        raise ValidationError("not a proper chain")
+    return not _redundant([frozenset(e) for e in chain.edges])
 
 
 def shortest_chain(
@@ -319,9 +303,7 @@ def _chain_occurrences_ok(C: Hypergraph, v: int) -> bool:
         return True
 
     def violates(seq: list, pivots: list) -> bool | None:
-        if sum(1 for e in seq if v in e) > 2 and is_irredundant(
-            C, ProperChain(edges=tuple(seq), pivots=tuple(pivots))
-        ):
+        if sum(1 for e in seq if v in e) > 2 and not _redundant(seq):
             return True
         return None
 

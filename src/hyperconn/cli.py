@@ -21,7 +21,7 @@ from .chains import (
 from .complexes import SimplicialComplex, independence_complex
 from .domination import epsilon, k_bound
 from .errors import ParseError, ResourceError, ValidationError
-from .extnat import INF
+from .extnat import fmt
 from .fixtures import FIXTURE_NAMES, fixture
 from .formats import (
     complex_to_document,
@@ -36,7 +36,6 @@ from .formats import (
 from .homology import conn_h, reduced_homology
 from .homotopy import (
     homotopy_type_triangulated,
-    is_properly_splitted,
     max_dimension_bound,
     properly_splitted_witness,
 )
@@ -84,14 +83,10 @@ def _label_sort(label: str):
         return (1, 0, label)
 
 
-def _fmt_value(x) -> str:
-    return "inf" if x == INF else str(x)
-
-
 def _cmd_psi(args) -> int:
     H, inverse = _load_hypergraph(args.file)
     value, edge = psi_witness(H)
-    print(f"psi = {_fmt_value(value)}")
+    print(f"psi = {fmt(value)}")
     if edge is not None:
         print(f"argmax edge: {_fmt_edge(edge, inverse)}")
     return EXIT_OK
@@ -106,7 +101,7 @@ def _cmd_homology(args) -> int:
         delta = independence_complex(H)
     prof = reduced_homology(delta)
     print(prof.describe())
-    print(f"connectivity: {_fmt_value(prof.connectivity())}")
+    print(f"connectivity: {fmt(prof.connectivity())}")
     return EXIT_OK
 
 
@@ -121,7 +116,7 @@ def _cmd_conn(args) -> int:
         ("degree-bound", degree_bound(H)),
     ]
     for name, v in rows:
-        print(f"{name:<13} {_fmt_value(v)}")
+        print(f"{name:<13} {fmt(v)}")
     return EXIT_OK
 
 
@@ -161,13 +156,14 @@ def _cmd_check(args) -> int:
     elif args.triangulated:
         print("triangulated: " + ("yes" if is_triangulated(H) else "no"))
     elif args.properly_splitted:
-        if is_properly_splitted(H):
-            w = properly_splitted_witness(H)
-            print("properly-splitted: yes")
-            seq = " ".join(_fmt_edge(e, inverse) for e in w.edge_sequence())
-            print("edge sequence: " + seq)
-        else:
+        w = properly_splitted_witness(H)
+        if w is None and H.edges:
             print("properly-splitted: no")
+        else:
+            # an edgeless input is properly splitted by an empty sequence
+            seq = [_fmt_edge(e, inverse) for e in w.edge_sequence()] if w else []
+            print("properly-splitted: yes")
+            print(" ".join(["edge sequence:", *seq]))
     else:
         F = _parse_edge(args.splitting_edge, mapping)
         if is_splitting_edge(H, F):

@@ -45,26 +45,8 @@ def smith_diagonal(mat: list[list[int]]) -> list[int]:
     r = 0
     c = 0
     while r < rows and c < cols:
-        pi = pj = -1
-        best = 0
-        for i in range(r, rows):
-            mi = m[i]
-            for j in range(c, cols):
-                a = mi[j]
-                if a and (best == 0 or abs(a) < best):
-                    best = abs(a)
-                    pi, pj = i, j
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if best == 0:
+        if not _pivot_least(m, r, c):
             break
-        if pi != r:
-            m[r], m[pi] = m[pi], m[r]
-        if pj != c:
-            for row in m:
-                row[c], row[pj] = row[pj], row[c]
         while True:
             p = m[r][c]
             dirty = False
@@ -91,24 +73,37 @@ def smith_diagonal(mat: list[list[int]]) -> list[int]:
             if not dirty:
                 break
             # a remainder smaller than |p| appeared; make it the new pivot
-            bi = bj = -1
-            best = 0
-            for i in range(r, rows):
-                mi = m[i]
-                for j in range(c, cols):
-                    a = mi[j]
-                    if a and (best == 0 or abs(a) < best):
-                        best = abs(a)
-                        bi, bj = i, j
-            if bi != r:
-                m[r], m[bi] = m[bi], m[r]
-            if bj != c:
-                for row in m:
-                    row[c], row[bj] = row[bj], row[c]
+            _pivot_least(m, r, c)
         diag.append(abs(m[r][c]))
         r += 1
         c += 1
     return _normalize_divisibility(diag)
+
+
+def _pivot_least(m: list[list[int]], r: int, c: int) -> bool:
+    """Swap the first entry of least nonzero |a|, in row-major order over
+    rows r.. and columns c.., to (r, c); False when that block is zero."""
+    pi = pj = -1
+    best = 0
+    for i in range(r, len(m)):
+        mi = m[i]
+        for j in range(c, len(mi)):
+            a = mi[j]
+            if a and (best == 0 or abs(a) < best):
+                best = abs(a)
+                pi, pj = i, j
+                if best == 1:
+                    break
+        if best == 1:
+            break
+    if best == 0:
+        return False
+    if pi != r:
+        m[r], m[pi] = m[pi], m[r]
+    if pj != c:
+        for row in m:
+            row[c], row[pj] = row[pj], row[c]
+    return True
 
 
 def _normalize_divisibility(diag: list[int]) -> list[int]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .complexes import independence_complex, minimal_nonfaces
 from .errors import NotTriangulated, NotUniform, ValidationError
 from .extnat import ExtNat
-from .chains import c_max_disjoint, find_decomposition_vertex, is_triangulated
+from .chains import c_max_disjoint, find_decomposition_vertex
 from .fixtures import lutz_acyclic_complex
 from .homology import conn_h
 from .hypergraph import Hypergraph
@@ -106,15 +106,12 @@ def d_set(C: Hypergraph, v: int) -> tuple:
     return tuple(sorted(out, key=lambda s: tuple(sorted(s))))
 
 
-def homotopy_type_triangulated(C: Hypergraph, strict: bool = False) -> HomotopyType:
+def homotopy_type_triangulated(C: Hypergraph) -> HomotopyType:
     """Wedge-of-spheres type of the independence complex.
 
     Preconditions are checked lazily: each recursion step must find a
-    decomposition vertex, else NotTriangulated.  With strict=True the full
-    triangulated property is verified up front.
+    decomposition vertex, else NotTriangulated.
     """
-    if strict and not is_triangulated(C):
-        raise NotTriangulated("input is not triangulated")
     memo: dict = {}
     vmemo: dict = {}
 

@@ -31,7 +31,7 @@ from .complexes import (
 )
 from .domination import epsilon, gamma_tilde, k_bound
 from .errors import NotTriangulated
-from .extnat import INF
+from .extnat import INF, parse_ext
 from .fixtures import fixture
 from .formats import (
     document_to_hypergraph,
@@ -140,10 +140,6 @@ def _gen_ground_truth(rng, samples, max_vertices):
     return out
 
 
-def _parse_expect(s):
-    return INF if s == "inf" else int(s)
-
-
 def _check_ground_truth(payload):
     H = _from_text(payload["instance"])
     a = psi(H)
@@ -151,7 +147,7 @@ def _check_ground_truth(payload):
     c = psi(H, cap_preservation=True)
     if not a == b == c:
         return _fail(1, f"solver disagreement: window={a} naive={b} descent={c}")
-    if payload["expect"] is not None and a != _parse_expect(payload["expect"]):
+    if payload["expect"] is not None and a != parse_ext(payload["expect"]):
         return _fail(2, f"expected {payload['expect']}, computed {a}")
     return _ok(2)
 

@@ -120,6 +120,17 @@ def _has_pivots(seq) -> bool:
     return any(len(set(c)) == n for c in itertools.product(*pools))
 
 
+def irredundant(seq) -> bool:
+    """Whether no strict subsequence of the edge sequence, keeping its first
+    and last edge in order, is a proper chain."""
+    seq = [frozenset(e) for e in seq]
+    return not any(
+        _has_pivots((seq[0], *mid, seq[-1]))
+        for r in range(len(seq) - 2)
+        for mid in itertools.combinations(seq[1:-1], r)
+    )
+
+
 def max_irredundant_occurrences(edges, v) -> int:
     """Most edges containing v in any proper irredundant chain.
 
@@ -134,12 +145,7 @@ def max_irredundant_occurrences(edges, v) -> int:
             count = sum(1 for e in seq if v in e)
             if count <= best or not _has_pivots(seq):
                 continue
-            shortcut = any(
-                _has_pivots((seq[0], *mid, seq[-1]))
-                for r in range(k - 2)
-                for mid in itertools.combinations(seq[1:-1], r)
-            )
-            if not shortcut:
+            if irredundant(seq):
                 best = count
     return best
 

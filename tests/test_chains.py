@@ -10,6 +10,7 @@ from hyperconn import (
     Hypergraph,
     NotProperlyConnected,
     ProperChain,
+    ValidationError,
     c_max_disjoint,
     d_complete,
     edge_distance,
@@ -22,13 +23,14 @@ from hyperconn import (
     is_triangulated,
     shortest_chain,
 )
-from hyperconn.chains import _chain_occurrences_ok
+from hyperconn.chains import _chain_occurrences_ok, _redundant
 from hyperconn.fixtures import cycle_hypergraph, path_hypergraph
 from hyperconn.generators import (
     all_graphs,
     is_chordal,
     random_hypergraph,
     random_triangulated_uniform,
+    random_uniform_hypergraph,
 )
 
 import oracles
@@ -68,6 +70,51 @@ class TestProperChain:
         )
         assert is_proper_chain(C, ch)
         assert is_irredundant(C, ch)
+        # {0 1} and {0 2} meet in the pivot 0, so the middle edge is a detour
+        K = d_complete(3, 2)
+        ch = ProperChain(edges=(fs(0, 1), fs(1, 2), fs(0, 2)), pivots=(1, 2))
+        assert is_proper_chain(K, ch)
+        assert not is_irredundant(K, ch)
+
+    def test_irredundant_rejects_improper_chain(self):
+        C = d_complete(4, 2)
+        ch = ProperChain(edges=(fs(0, 1), fs(1, 2), fs(1, 3)), pivots=(1, 1))
+        with pytest.raises(ValidationError):
+            is_irredundant(C, ch)
+
+    def test_irredundant_matches_oracle(self):
+        # random proper chains of up to six pivots on small uniform inputs
+        rng = random.Random(61)
+        seen = set()
+        for i in range(300):
+            H = random_uniform_hypergraph(rng, 7, (2, 3, 3, 4)[i % 4], max_edges=10)
+            seq, pivots = [rng.choice(H.edges)], []
+            while len(pivots) < 6:
+                steps = [
+                    (e, x)
+                    for e in H.edges
+                    if e not in seq and len(seq[-1] & e) == len(e) - 1
+                    for x in sorted(seq[-1] & e)
+                    if x not in pivots
+                ]
+                if not steps:
+                    break
+                e, x = rng.choice(steps)
+                seq.append(e)
+                pivots.append(x)
+                ch = ProperChain(edges=tuple(seq), pivots=tuple(pivots))
+                ok = oracles.irredundant(seq)
+                assert is_irredundant(H, ch) == ok, ch.describe()
+                seen.add(ok)
+        assert seen == {True, False}
+
+    def test_redundancy_keeps_edge_order(self):
+        # a proper chain whose edges reach the last edge in three pivots only
+        # out of order ({0 2 3} {0 1} {1 2} {2 3}); its edges are comparable,
+        # so it lives in no Hypergraph and the kernel is called directly
+        seq = [fs(0, 2, 3), fs(1, 2), fs(0, 1), fs(0, 3), fs(2, 3)]
+        assert oracles.irredundant(seq)
+        assert not _redundant(seq)
 
 
 class TestDistance:

@@ -107,6 +107,15 @@ class TestCheck:
         assert "splitting-edge: yes" in out
         assert "splitting vertex: 1" in out
 
+    @pytest.mark.parametrize("text", ["vertices: 1 2\n", ""])
+    def test_edgeless_is_properly_splitted(self, capsys, tmp_path, text):
+        p = tmp_path / "edgeless.txt"
+        p.write_text(text)
+        code, out, err = run(capsys, "check", str(p), "--properly-splitted")
+        assert code == 0
+        assert out == "properly-splitted: yes\nedge sequence:\n"
+        assert "Traceback" not in err
+
     def test_negative_verdict(self, capsys, tmp_path):
         p = tmp_path / "c5.txt"
         p.write_text("1 2\n2 3\n3 4\n4 5\n1 5\n")
