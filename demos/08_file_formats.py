@@ -1,9 +1,10 @@
 """Reading and writing hypergraphs in the text and JSON formats.
 
 The text format is one edge per line with an optional vertex header for
-isolated vertices; labels may be arbitrary strings and are densified to
-integers internally.  The JSON format mirrors the same document and both
-round-trip exactly.
+isolated vertices.  Labels may be arbitrary strings: integer labels written
+in canonical form (7, not 07) keep their values as vertex ids, and any
+other label set gets ids 1, 2, ... in sorted label order.  The JSON format
+mirrors the same document and both round-trip exactly.
 """
 
 from hyperconn import (

@@ -14,7 +14,6 @@ import sys
 from .chains import (
     find_splitting_vertex,
     is_properly_connected,
-    is_splitting_edge,
     is_triangulated,
     shortest_chain,
 )
@@ -24,14 +23,13 @@ from .errors import ParseError, ResourceError, ValidationError
 from .extnat import fmt
 from .fixtures import FIXTURE_NAMES, fixture
 from .formats import (
+    _label_key,
     complex_to_document,
-    document_to_complex,
-    document_to_hypergraph,
     emit_json,
     emit_text,
     hypergraph_to_document,
-    parse_json,
-    parse_text,
+    load_complex,
+    load_hypergraph,
 )
 from .homology import conn_h, reduced_homology
 from .homotopy import (
@@ -39,8 +37,7 @@ from .homotopy import (
     max_dimension_bound,
     properly_splitted_witness,
 )
-from .psi import degree_bound, psi_witness
-from . import verify as verify_mod
+from .psi import degree_bound, psi, psi_witness
 
 __all__ = ["main"]
 
@@ -50,41 +47,18 @@ EXIT_BUDGET = 3
 EXIT_VIOLATION = 4
 
 
-def _read_document(path: str):
-    """Document from a path or stdin ("-"); JSON is detected by suffix or,
-    on stdin, by a leading brace."""
-    if path == "-":
-        text = sys.stdin.read()
-        if text.lstrip().startswith("{"):
-            return parse_json(text, name="stdin")
-        return parse_text(text, name="stdin")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if path.endswith(".json"):
-        return parse_json(text, name=path)
-    return parse_text(text, name=path)
-
-
-def _load_hypergraph(path: str):
-    doc = _read_document(path)
-    H, mapping = document_to_hypergraph(doc)
-    inverse = {i: label for label, i in mapping.items()}
-    return H, inverse
+def _load(path: str, as_complex: bool = False):
+    """(object, label -> id mapping, id -> label inverse) from a path or "-"."""
+    obj, mapping = (load_complex if as_complex else load_hypergraph)(path)
+    return obj, mapping, {i: label for label, i in mapping.items()}
 
 
 def _fmt_edge(edge, inverse) -> str:
-    return "{" + " ".join(sorted((inverse[v] for v in edge), key=_label_sort)) + "}"
-
-
-def _label_sort(label: str):
-    try:
-        return (0, int(label), label)
-    except ValueError:
-        return (1, 0, label)
+    return "{" + " ".join(sorted((inverse[v] for v in edge), key=_label_key)) + "}"
 
 
 def _cmd_psi(args) -> int:
-    H, inverse = _load_hypergraph(args.file)
+    H, _, inverse = _load(args.file)
     value, edge = psi_witness(H)
     print(f"psi = {fmt(value)}")
     if edge is not None:
@@ -93,12 +67,8 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    doc = _read_document(args.file)
-    if args.complex:
-        delta, _ = document_to_complex(doc)
-    else:
-        H, _ = document_to_hypergraph(doc)
-        delta = independence_complex(H)
+    obj, _, _ = _load(args.file, args.complex)
+    delta = obj if args.complex else independence_complex(obj)
     prof = reduced_homology(delta)
     print(prof.describe())
     print(f"connectivity: {fmt(prof.connectivity())}")
@@ -106,8 +76,8 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_conn(args) -> int:
-    H, _ = _load_hypergraph(args.file)
-    value, _edge = psi_witness(H)
+    H, _, _ = _load(args.file)
+    value = psi(H)
     rows = [
         ("conn_h", conn_h(independence_complex(H))),
         ("psi", value),
@@ -129,9 +99,7 @@ def _parse_edge(spec: str, mapping) -> frozenset:
 
 
 def _cmd_distance(args) -> int:
-    doc = _read_document(args.file)
-    H, mapping = document_to_hypergraph(doc)
-    inverse = {i: label for label, i in mapping.items()}
+    H, mapping, inverse = _load(args.file)
     F = _parse_edge(args.edge_a, mapping)
     G = _parse_edge(args.edge_b, mapping)
     chain = shortest_chain(H, F, G)
@@ -148,9 +116,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    doc = _read_document(args.file)
-    H, mapping = document_to_hypergraph(doc)
-    inverse = {i: label for label, i in mapping.items()}
+    H, mapping, inverse = _load(args.file)
     if args.properly_connected:
         print("properly-connected: " + ("yes" if is_properly_connected(H) else "no"))
     elif args.triangulated:
@@ -165,9 +131,8 @@ def _cmd_check(args) -> int:
             print("properly-splitted: yes")
             print(" ".join(["edge sequence:", *seq]))
     else:
-        F = _parse_edge(args.splitting_edge, mapping)
-        if is_splitting_edge(H, F):
-            z = find_splitting_vertex(H, F)
+        z = find_splitting_vertex(H, _parse_edge(args.splitting_edge, mapping))
+        if z is not None:
             print("splitting-edge: yes")
             print(f"splitting vertex: {inverse[z]}")
         else:
@@ -176,7 +141,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_homotopy_type(args) -> int:
-    H, _ = _load_hypergraph(args.file)
+    H, _, _ = _load(args.file)
     t = homotopy_type_triangulated(H)
     print(t.describe())
     if H.edges:
@@ -185,6 +150,8 @@ def _cmd_homotopy_type(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify as verify_mod
+
     suites = None
     if args.suite and "all" not in args.suite:
         suites = args.suite

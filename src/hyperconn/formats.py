@@ -5,16 +5,19 @@ optional leading header line "vertices: a b c" declaring the full vertex
 set (needed exactly when isolated vertices exist).  Blank lines and lines
 starting with # are ignored.  JSON format mirrors HypergraphDocument.
 
-Labels are strings in documents.  When every label is a decimal integer
-the in-memory hypergraph uses those integers as vertex ids, so documents
-written by hand with numeric labels round-trip through results without a
-translation table; otherwise ids are assigned densely in sorted label
-order and the mapping is returned alongside.
+Labels are strings in documents.  When every label is an integer written
+the way Python prints it (``str(int(x)) == x``: no sign but "-", no
+leading zeros, no underscores) the in-memory hypergraph uses those
+integers as vertex ids, so documents written by hand with numeric labels
+round-trip through results without a translation table; otherwise ids are
+assigned densely in sorted label order, so distinct labels never share an
+id.  The mapping is returned alongside.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .complexes import SimplicialComplex
@@ -78,9 +81,10 @@ def _is_int_label(x: str) -> bool:
 
 
 def _label_key(x: str):
-    # numeric labels sort numerically among themselves, others after
+    # numeric labels sort numerically among themselves, others after;
+    # the label itself breaks ties such as "1" and "01"
     if _is_int_label(x):
-        return (0, int(x), "")
+        return (0, int(x), str(x))
     return (1, 0, str(x))
 
 
@@ -165,18 +169,20 @@ def emit_json(doc: HypergraphDocument) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def document_to_hypergraph(doc: HypergraphDocument) -> tuple[Hypergraph, dict]:
-    """Build the hypergraph and return it with the label -> id mapping."""
+def _label_ids(doc: HypergraphDocument) -> tuple[dict, list]:
+    """The label -> id mapping of a document and its edges as id sets."""
     doc = _canonical(doc.name, doc.vertices, doc.edges)
-    if all(_is_int_label(x) for x in doc.vertices):
+    if all(_is_int_label(x) and str(int(x)) == x for x in doc.vertices):
         mapping = {x: int(x) for x in doc.vertices}
     else:
         mapping = {x: i for i, x in enumerate(sorted(doc.vertices), start=1)}
-    H = Hypergraph(
-        mapping.values(),
-        [frozenset(mapping[x] for x in e) for e in doc.edges],
-    )
-    return H, mapping
+    return mapping, [frozenset(mapping[x] for x in e) for e in doc.edges]
+
+
+def document_to_hypergraph(doc: HypergraphDocument) -> tuple[Hypergraph, dict]:
+    """Build the hypergraph and return it with the label -> id mapping."""
+    mapping, edges = _label_ids(doc)
+    return Hypergraph(mapping.values(), edges), mapping
 
 
 def hypergraph_to_document(H: Hypergraph, name: str = "") -> HypergraphDocument:
@@ -190,12 +196,7 @@ def hypergraph_to_document(H: Hypergraph, name: str = "") -> HypergraphDocument:
 def document_to_complex(doc: HypergraphDocument) -> tuple[SimplicialComplex, dict]:
     """Read the edge lines as the facet list of a complex; singleton
     facets are legal here, unlike hypergraph edges."""
-    doc = _canonical(doc.name, doc.vertices, doc.edges)
-    if all(_is_int_label(x) for x in doc.vertices):
-        mapping = {x: int(x) for x in doc.vertices}
-    else:
-        mapping = {x: i for i, x in enumerate(sorted(doc.vertices), start=1)}
-    facets = [frozenset(mapping[x] for x in e) for e in doc.edges]
+    mapping, facets = _label_ids(doc)
     used = {v for f in facets for v in f}
     for x, v in sorted(mapping.items()):
         if v not in used:
@@ -211,20 +212,29 @@ def complex_to_document(delta: SimplicialComplex, name: str = "") -> HypergraphD
     )
 
 
-def _read(path: str) -> tuple[str, bool]:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return text, path.endswith(".json")
+def _read(path: str) -> HypergraphDocument:
+    """Document from a path or stdin ("-"), either read as UTF-8.  A file
+    is JSON when its name ends in .json, stdin when its text starts with a
+    brace."""
+    name = "stdin" if path == "-" else path
+    try:
+        if path == "-":
+            text = sys.stdin.buffer.read().decode("utf-8")
+            is_json = text.lstrip().startswith("{")
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            is_json = path.endswith(".json")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    return (parse_json if is_json else parse_text)(text, name=name)
+
 
 def load_hypergraph(path: str) -> tuple[Hypergraph, dict]:
-    """Parse a file (JSON if named *.json, text otherwise) to a hypergraph."""
-    text, is_json = _read(path)
-    doc = (parse_json if is_json else parse_text)(text)
-    return document_to_hypergraph(doc)
+    """Parse a file, or stdin for "-", to a hypergraph."""
+    return document_to_hypergraph(_read(path))
 
 
 def load_complex(path: str) -> tuple[SimplicialComplex, dict]:
-    """Parse a file to a facet-listed simplicial complex."""
-    text, is_json = _read(path)
-    doc = (parse_json if is_json else parse_text)(text)
-    return document_to_complex(doc)
+    """Parse a file, or stdin for "-", to a facet-listed simplicial complex."""
+    return document_to_complex(_read(path))

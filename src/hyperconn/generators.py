@@ -67,7 +67,9 @@ def random_uniform_hypergraph(
     from [min_edges, max_edges], edges sampled without replacement."""
     if d < 2:
         raise ValidationError(f"edge size d must be >= 2, got {d}")
-    n = rng.randint(max(d, 1), max_vertices)
+    if max_vertices < d:
+        raise ValidationError(f"need at least {d} vertices for d = {d}")
+    n = rng.randint(d, max_vertices)
     cand = list(itertools.combinations(range(1, n + 1), d))
     cap = len(cand) if max_edges is None else min(max_edges, len(cand))
     m = rng.randint(min(min_edges, cap), cap)

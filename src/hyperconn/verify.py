@@ -30,7 +30,7 @@ from .complexes import (
     minimal_nonfaces,
 )
 from .domination import epsilon, gamma_tilde, k_bound
-from .errors import NotTriangulated
+from .errors import NotTriangulated, ValidationError
 from .extnat import INF, parse_ext
 from .fixtures import fixture
 from .formats import (
@@ -181,6 +181,9 @@ def _check_conn_bound(payload):
 
 
 def _gen_structural(rng, samples, max_vertices):
+    if max_vertices < 2:
+        # one vertex carries no edge, so no instance would ever be kept
+        raise ValidationError(f"need at least 2 vertices, got {max_vertices}")
     out = []
     while len(out) < samples:
         H = random_hypergraph(rng, min(max_vertices, 8))
@@ -534,6 +537,12 @@ class VerificationReport:
         return lines
 
 
+def _suite(name: str) -> tuple:
+    if name not in _SUITES:
+        raise ValidationError(f"unknown suite {name!r}; known: {', '.join(_SUITES)}")
+    return _SUITES[name]
+
+
 def run_suite(
     name: str,
     seed: int = 0,
@@ -542,9 +551,7 @@ def run_suite(
     workers: int = 1,
 ) -> SuiteResult:
     """Run one named suite and aggregate its outcomes in generation order."""
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; known: {', '.join(_SUITES)}")
-    gen, _check = _SUITES[name]
+    gen, _check = _suite(name)
     rng = random.Random(f"{seed}:{name}")
     start = time.perf_counter()
     payloads = gen(rng, samples, max_vertices)
@@ -582,6 +589,8 @@ def run(
 ) -> VerificationReport:
     """Run the selected suites (all by default) under one seed."""
     names = list(SUITE_NAMES) if suites is None else list(suites)
+    for n in names:
+        _suite(n)
     results = tuple(
         run_suite(n, seed=seed, samples=samples, max_vertices=max_vertices,
                   workers=workers)

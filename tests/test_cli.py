@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +48,18 @@ class TestPsi:
         p.write_text("")
         code, out, _ = run(capsys, "psi", str(p))
         assert code == 0 and "psi = 0" in out
+
+
+class TestLabels:
+    @pytest.mark.parametrize(
+        "text, value", [("1 2\n01 3\n", "2"), ("1 2\n1_0 3\n10 4\n", "3")]
+    )
+    def test_integer_spellings_are_distinct_vertices(self, capsys, tmp_path, text, value):
+        p = tmp_path / "h.txt"
+        p.write_text(text)
+        code, out, _ = run(capsys, "psi", str(p))
+        assert code == 0
+        assert out.splitlines()[0] == f"psi = {value}"
 
 
 class TestHomology:
@@ -164,6 +177,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "psi", str(p))
         assert code == 2 and err
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"\xff1 2\n")
+        code, out, err = run(capsys, "psi", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "psi", "/no/such/file.txt")
         assert code == 2
@@ -198,6 +218,21 @@ class TestExitCodes:
         code, out, _ = run(capsys, "verify", "--suite", "fixtures")
         assert code == 4
         assert "FAIL" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "fixtures", "--suite", "no-such-suite"],
+            ["--suite", "conn-bound", "--max-vertices", "2"],
+            ["--suite", "domination", "--max-vertices", "2"],
+            ["--suite", "structural", "--max-vertices", "1"],
+            ["--suite", "mayer-vietoris", "--max-vertices", "1"],
+        ],
+    )
+    def test_verify_bad_arguments(self, capsys, argv):
+        code, out, err = run(capsys, "verify", "--samples", "3", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_verify_json_output(self, capsys):
         code, out, _ = run(
@@ -263,4 +298,40 @@ class TestEnvironmentLimits:
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                     code = main(argv)
                 assert code in (0, 2, 3, 4), (argv, values)
+                assert "Traceback" not in err.getvalue()
+
+
+# tokens that collide as integers, carry separators the text format does not
+# split on, or open a header, a comment or JSON; plus bytes that are not UTF-8
+INPUT_TOKENS = [b"1", b"01", b"1_0", b"10", b"a", b"b,c", b"vertices:", b"#", b"{"]
+RAW_BYTES = [b"\xff", b"\xfe", b"\xc3", b"\x00", b"\r"]
+INPUT_COMMANDS = (["psi"], ["conn"], ["homology"], ["check", "--properly-connected"])
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("inputs")
+
+
+class TestAnyInput:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(INPUT_TOKENS + RAW_BYTES), max_size=4).map(b" ".join),
+            max_size=6,
+        ).map(b"\n".join)
+    )
+    def test_any_file_exits_cleanly(self, input_dir, data):
+        path = input_dir / "input.txt"
+        path.write_bytes(data)
+        for command in INPUT_COMMANDS:
+            for source in (str(path), "-"):
+                argv = [command[0], source, *command[1:]]
+                err = io.StringIO()
+                stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(sys, "stdin", stdin)
+                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                        code = main(argv)
+                assert code in (0, 2, 3, 4), (argv, data)
                 assert "Traceback" not in err.getvalue()

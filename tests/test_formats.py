@@ -1,5 +1,6 @@
 """Text and JSON interchange formats."""
 
+import io
 import json
 
 import pytest
@@ -75,6 +76,10 @@ class TestEmitText:
         assert text == "1 2\n2 10\n"
         assert parse_text(text) == parse_text(text)
 
+    def test_integer_spellings_sort_by_label(self):
+        # "1" and "01" share an integer value; the label breaks the tie
+        assert emit_text(parse_text("1 01\n10 1_0\n")) == "01 1\n10 1_0\n"
+
     def test_header_only_when_needed(self):
         H = Hypergraph([1, 2, 3], [{1, 2}])
         text = emit_text(hypergraph_to_document(H))
@@ -118,6 +123,17 @@ class TestMapping:
         assert mapping == {"7": 7, "9": 9}
         assert H.vertices == {7, 9}
 
+    @pytest.mark.parametrize(
+        "text, order",
+        [("1 2\n01 3\n", 4), ("1 2\n1_0 3\n10 4\n", 6), ("+1 2\n1 3\n", 4)],
+    )
+    def test_integer_spellings_stay_distinct(self, text, order):
+        H, mapping = document_to_hypergraph(parse_text(text))
+        assert H.order == order and len(set(mapping.values())) == order
+        assert mapping == {x: i for i, x in enumerate(sorted(mapping), start=1)}
+        delta, _ = document_to_complex(parse_text(text))
+        assert len(delta.vertices) == order
+
     def test_symbolic_labels_densified(self):
         H, mapping = document_to_hypergraph(parse_text("a b\nb c\n"))
         assert sorted(mapping) == ["a", "b", "c"]
@@ -148,11 +164,32 @@ class TestLoad:
         H2, _ = load_hypergraph(str(j))
         assert len(H2.edges) == 2
 
+    def test_stdin(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", _stdin(b'{"edges": [["a", "b"]]}'))
+        H, mapping = load_hypergraph("-")
+        assert sorted(mapping) == ["a", "b"] and len(H.edges) == 1
+        monkeypatch.setattr("sys.stdin", _stdin(b"1 2 3\n"))
+        delta, _ = load_complex("-")
+        assert delta.dim == 2
+
+    def test_non_utf8_is_parse_error(self, tmp_path, monkeypatch):
+        t = tmp_path / "h.txt"
+        t.write_bytes(b"\xff1 2\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_hypergraph(str(t))
+        monkeypatch.setattr("sys.stdin", _stdin(b"\xff1 2\n"))
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_hypergraph("-")
+
     def test_load_complex(self, tmp_path):
         t = tmp_path / "c.txt"
         t.write_text("1 2 3\n")
         delta, _ = load_complex(str(t))
         assert delta.dim == 2
+
+
+def _stdin(data: bytes):
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
 documents = st.builds(

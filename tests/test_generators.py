@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from hyperconn.generators import (
     all_graphs,
     chordal_graphs,
@@ -10,7 +12,7 @@ from hyperconn.generators import (
     random_triangulated_uniform,
     random_uniform_hypergraph,
 )
-from hyperconn import Hypergraph, is_properly_connected, is_triangulated
+from hyperconn import Hypergraph, ValidationError, is_properly_connected, is_triangulated
 from hyperconn.fixtures import cycle_hypergraph, path_hypergraph
 
 
@@ -62,6 +64,10 @@ class TestRandomModels:
             assert H.uniform_size() in (3, None)
             assert len(H.edges) <= 12
             assert H.order <= 8
+
+    def test_uniform_model_needs_d_vertices(self):
+        with pytest.raises(ValidationError):
+            random_uniform_hypergraph(random.Random(0), 2, 3)
 
     def test_triangulated_construction(self):
         rng = random.Random(73)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import hyperconn.verify as verify
+from hyperconn import ValidationError
 
 
 class TestDeterminism:
@@ -42,6 +43,14 @@ class TestAggregation:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             verify.run_suite("no-such-suite")
+
+    def test_unknown_suite_rejected_before_any_runs(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(verify, "run_suite", no_run)
+        with pytest.raises(ValidationError):
+            verify.run(suites=["fixtures", "no-such-suite"])
 
     def test_all_suite_names_runnable(self):
         assert set(verify.SUITE_NAMES) == set(verify._SUITES)
