@@ -321,7 +321,7 @@ def _neighborhood_complete(C: Hypergraph, v: int, d: int) -> bool:
     return all(C.has_edge(frozenset(s)) for s in combinations(sorted(nbrs), d))
 
 
-def find_decomposition_vertex(C: Hypergraph, _memo: dict | None = None) -> int | None:
+def find_decomposition_vertex(C: Hypergraph) -> int | None:
     """Smallest vertex whose neighborhood induces a d-complete hypergraph
     and which sits in at most two edges of every proper irredundant chain.
 
@@ -334,18 +334,12 @@ def find_decomposition_vertex(C: Hypergraph, _memo: dict | None = None) -> int |
     d = C.uniform_size()
     if d is None and C.edges:
         raise NotUniform("decomposition vertices need a d-uniform hypergraph")
-    memo = {} if _memo is None else _memo
     for v in sorted(C.vertices):
         if not C.edges:
             return v
         if not _neighborhood_complete(C, v, d):
             continue
-        if d == 2:
-            return v
-        key = (C._edge_set, v)
-        if key not in memo:
-            memo[key] = _chain_occurrences_ok(C, v)
-        if memo[key]:
+        if d == 2 or _chain_occurrences_ok(C, v):
             return v
     return None
 
@@ -365,7 +359,6 @@ def is_triangulated(C: Hypergraph, cap: int | None = None) -> bool:
     if n > triangulated_cap(cap):
         raise CapacityExceeded(f"{n} vertices exceeds the triangulated check cap")
     verts = sorted(C.vertices)
-    vmemo: dict = {}
     ememo: dict = {}
     for mask in range(1, 1 << n):
         A = frozenset(verts[i] for i in range(n) if mask >> i & 1)
@@ -374,7 +367,7 @@ def is_triangulated(C: Hypergraph, cap: int | None = None) -> bool:
             continue  # an isolated vertex of the induced part qualifies
         key = sub._edge_set
         if key not in ememo:
-            ememo[key] = find_decomposition_vertex(sub, _memo=vmemo) is not None
+            ememo[key] = find_decomposition_vertex(sub) is not None
         if not ememo[key]:
             return False
     return True

@@ -19,7 +19,7 @@ from .chains import (
 )
 from .complexes import SimplicialComplex, independence_complex
 from .domination import epsilon, k_bound
-from .errors import ParseError, ResourceError, ValidationError
+from .errors import EdgeNotPresent, ParseError, ResourceError, ValidationError
 from .extnat import fmt
 from .fixtures import FIXTURE_NAMES, fixture
 from .formats import (
@@ -90,18 +90,23 @@ def _cmd_conn(args) -> int:
     return EXIT_OK
 
 
-def _parse_edge(spec: str, mapping) -> frozenset:
+def _parse_edge(spec: str, H, mapping) -> frozenset:
+    """The edge of H named by comma- or space-separated labels."""
     labels = [p for p in spec.replace(",", " ").split() if p]
     missing = [p for p in labels if p not in mapping]
     if missing:
         raise ParseError(f"unknown vertex label(s): {' '.join(missing)}")
-    return frozenset(mapping[p] for p in labels)
+    F = frozenset(mapping[p] for p in labels)
+    if not H.has_edge(F):
+        named = " ".join(sorted(set(labels), key=_label_key))
+        raise EdgeNotPresent(f"{{{named}}} is not an edge")
+    return F
 
 
 def _cmd_distance(args) -> int:
     H, mapping, inverse = _load(args.file)
-    F = _parse_edge(args.edge_a, mapping)
-    G = _parse_edge(args.edge_b, mapping)
+    F = _parse_edge(args.edge_a, H, mapping)
+    G = _parse_edge(args.edge_b, H, mapping)
     chain = shortest_chain(H, F, G)
     if chain is None:
         print("distance = inf")
@@ -131,7 +136,7 @@ def _cmd_check(args) -> int:
             print("properly-splitted: yes")
             print(" ".join(["edge sequence:", *seq]))
     else:
-        z = find_splitting_vertex(H, _parse_edge(args.splitting_edge, mapping))
+        z = find_splitting_vertex(H, _parse_edge(args.splitting_edge, H, mapping))
         if z is not None:
             print("splitting-edge: yes")
             print(f"splitting vertex: {inverse[z]}")

@@ -77,57 +77,35 @@ def random_uniform_hypergraph(
     return Hypergraph(range(1, n + 1), [frozenset(e) for e in edges])
 
 
-def _pair_index(n: int) -> dict:
-    return {p: i for i, p in enumerate(itertools.combinations(range(n), 2))}
-
-
-def _perm_tables(n: int) -> list:
-    """For each permutation of range(n), the map from pair-bit position to
-    its image position."""
-    idx = _pair_index(n)
-    pairs = list(itertools.combinations(range(n), 2))
-    tables = []
-    for perm in itertools.permutations(range(n)):
-        tables.append(
-            [idx[tuple(sorted((perm[a], perm[b])))] for (a, b) in pairs]
-        )
-    return tables
-
-
 def all_graphs(n: int):
     """Yield every graph on vertices 1..n exactly once up to isomorphism
     (the edgeless graph included), as 2-uniform hypergraphs.
 
     Orbit marking: masks are visited in increasing order and the whole
     isomorphism orbit of each representative is marked, so the cost is
-    orbits x permutations, not masks x permutations.
+    orbits x permutations, not masks x permutations.  A mask's image is
+    the sum of the image bits of its set bits.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    if n == 1:
-        yield Hypergraph([1], [])
-        return
     pairs = list(itertools.combinations(range(n), 2))
-    nbits = len(pairs)
-    tables = _perm_tables(n)
-    seen = bytearray(1 << nbits)
-    for mask in range(1 << nbits):
+    bit = {}
+    for i, (a, b) in enumerate(pairs):
+        bit[a, b] = bit[b, a] = 1 << i
+    images = [
+        [bit[perm[a], perm[b]] for a, b in pairs]
+        for perm in itertools.permutations(range(n))
+    ]
+    seen = bytearray(1 << len(pairs))
+    for mask in range(len(seen)):
         if seen[mask]:
             continue
-        for table in tables:
-            img = 0
-            rem = mask
-            while rem:
-                low = rem & -rem
-                img |= 1 << table[low.bit_length() - 1]
-                rem ^= low
-            seen[img] = 1
-        edges = [
-            frozenset((pairs[i][0] + 1, pairs[i][1] + 1))
-            for i in range(nbits)
-            if mask >> i & 1
-        ]
-        yield Hypergraph(range(1, n + 1), edges)
+        bits = [i for i in range(len(pairs)) if mask >> i & 1]
+        for image in images:
+            seen[sum(map(image.__getitem__, bits))] = 1
+        yield Hypergraph(
+            range(1, n + 1), [(pairs[i][0] + 1, pairs[i][1] + 1) for i in bits]
+        )
 
 
 def is_chordal(G: Hypergraph) -> bool:
@@ -169,42 +147,39 @@ def random_triangulated_uniform(
     Growth model: start from the d-complete hypergraph on a seed set, then
     repeatedly attach a fresh vertex v to a d-complete subset T of the
     current vertex set by adding every edge {v} union S for S a
-    (d-1)-subset of T.  Each step is checked with the real recognizers and
-    rolled back if either property breaks, so the postcondition holds by
-    construction."""
+    (d-1)-subset of T.  With verify, the seed and each trial step are
+    checked once with the real recognizers and a step that breaks either
+    property is rolled back, so the postcondition holds by construction."""
     if d < 2:
         raise ValidationError(f"edge size d must be >= 2, got {d}")
     if max_vertices < d:
         raise ValidationError(f"need at least {d} vertices for d = {d}")
+
+    def accept(H: Hypergraph) -> bool:
+        return not verify or (is_properly_connected(H) and is_triangulated(H))
+
     # the d-complete seed must stay small: on d + 2 or more vertices a
     # complete d-uniform hypergraph (d >= 3) carries a proper irredundant
     # chain visiting one vertex three times, so it is not triangulated
     seed = rng.randint(d, min(d + 1, max_vertices))
-    verts = list(range(1, seed + 1))
-    edges = {frozenset(c) for c in itertools.combinations(verts, d)}
+    H = Hypergraph(range(1, seed + 1), itertools.combinations(range(1, seed + 1), d))
+    if not accept(H):
+        raise AssertionError("the d-complete seed failed the recognizers")
     target = rng.randint(seed, max_vertices)
-    while len(verts) < target:
-        v = len(verts) + 1
-        accepted = False
+    while H.order < target:
+        v = H.order + 1
+        refused = set()
         for _attempt in range(6):
-            t = rng.randint(d - 1, min(len(verts), d + 1))
-            T = rng.sample(verts, t)
-            new_edges = {
-                frozenset(S) | {v} for S in itertools.combinations(sorted(T), d - 1)
-            }
-            trial = edges | new_edges
-            H = Hypergraph(range(1, v + 1), trial)
-            if not verify or (is_properly_connected(H) and is_triangulated(H)):
-                verts.append(v)
-                edges = trial
-                accepted = True
+            t = rng.randint(d - 1, min(v - 1, d + 1))
+            T = tuple(sorted(rng.sample(range(1, v), t)))
+            if T in refused:
+                continue  # the same trial was already checked and refused
+            new_edges = [(*S, v) for S in itertools.combinations(T, d - 1)]
+            trial = Hypergraph(range(1, v + 1), [*H.edges, *new_edges])
+            if accept(trial):
+                H = trial
                 break
-        if not accepted:
+            refused.add(T)
+        else:
             break
-    H = Hypergraph(range(1, len(verts) + 1), edges)
-    if verify:
-        if not is_properly_connected(H):
-            raise AssertionError("construction produced a non-properly-connected instance")
-        if not is_triangulated(H):
-            raise AssertionError("construction produced a non-triangulated instance")
     return H

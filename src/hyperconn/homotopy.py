@@ -113,7 +113,6 @@ def homotopy_type_triangulated(C: Hypergraph) -> HomotopyType:
     decomposition vertex, else NotTriangulated.
     """
     memo: dict = {}
-    vmemo: dict = {}
 
     def rec(H: Hypergraph) -> HomotopyType:
         got = memo.get(H)
@@ -127,7 +126,7 @@ def homotopy_type_triangulated(C: Hypergraph) -> HomotopyType:
             d = H.uniform_size()
             if d is None:
                 raise NotUniform("homotopy synthesis needs a d-uniform hypergraph")
-            v = find_decomposition_vertex(H, _memo=vmemo)
+            v = find_decomposition_vertex(H)
             if v is None:
                 raise NotTriangulated(f"no decomposition vertex in {H!r}")
             dims: list = []

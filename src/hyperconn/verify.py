@@ -29,9 +29,9 @@ from .complexes import (
     link,
     minimal_nonfaces,
 )
-from .domination import epsilon, gamma_tilde, k_bound
+from .domination import epsilon, gamma_tilde
 from .errors import NotTriangulated, ValidationError
-from .extnat import INF, parse_ext
+from .extnat import INF, ceil_half, parse_ext
 from .fixtures import fixture
 from .formats import (
     document_to_hypergraph,
@@ -218,10 +218,6 @@ def _check_structural(payload):
 # mayer-vietoris suite: Betti numbers of the three associated complexes
 
 
-def _gen_mayer_vietoris(rng, samples, max_vertices):
-    return _gen_structural(rng, samples, max_vertices)
-
-
 def _check_mayer_vietoris(payload):
     H = _from_text(payload["instance"])
     F = H.edges[payload["edge"]]
@@ -282,10 +278,6 @@ def _check_join(payload):
 # domination suite: domination-style lower bounds and the graph oracle
 
 
-def _gen_domination(rng, samples, max_vertices):
-    return _gen_conn_bound(rng, samples, max_vertices)
-
-
 def _total_domination_number(G: Hypergraph):
     """Brute-force total domination number of a graph; INF when a vertex
     has no neighbor at all."""
@@ -318,7 +310,7 @@ def _check_domination(payload):
     elif g * delta < n:
         return _fail(checks, f"gamma {g} * degree {delta} < order {n}")
     ch = conn_h(ind)
-    k = k_bound(H)
+    k = ceil_half(g)  # k_bound(H), from the domination number in hand
     eps = epsilon(H)
     p = psi(H)
     checks += 1
@@ -417,7 +409,7 @@ def _check_triangulated(payload):
             return _fail(checks, f"sphere dimension {top} exceeds bound {bound}")
     checks += 1
     p = psi(H)
-    ch = conn_h(independence_complex(H))
+    ch = prof.connectivity()
     if p != ch + 2:
         return _fail(checks, f"bound {p} != connectivity {ch} + 2")
     return _ok(checks)
@@ -456,9 +448,9 @@ _SUITES = {
     "ground-truth": (_gen_ground_truth, _check_ground_truth),
     "conn-bound": (_gen_conn_bound, _check_conn_bound),
     "structural": (_gen_structural, _check_structural),
-    "mayer-vietoris": (_gen_mayer_vietoris, _check_mayer_vietoris),
+    "mayer-vietoris": (_gen_structural, _check_mayer_vietoris),
     "join-additivity": (_gen_join, _check_join),
-    "domination": (_gen_domination, _check_domination),
+    "domination": (_gen_conn_bound, _check_domination),
     "properly-connected": (_gen_properly_connected, _check_properly_connected),
     "triangulated-homotopy": (_gen_triangulated, _check_triangulated),
     "splitting-family": (_gen_splitting_family, _check_splitting_family),
@@ -550,8 +542,15 @@ def run_suite(
     max_vertices: int = 8,
     workers: int = 1,
 ) -> SuiteResult:
-    """Run one named suite and aggregate its outcomes in generation order."""
+    """Run one named suite and aggregate its outcomes in generation order.
+
+    Raises ValidationError, before any instance is drawn, for an unknown
+    name, negative samples or fewer than one worker."""
     gen, _check = _suite(name)
+    if samples < 0:
+        raise ValidationError(f"samples must be >= 0, got {samples}")
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     rng = random.Random(f"{seed}:{name}")
     start = time.perf_counter()
     payloads = gen(rng, samples, max_vertices)

@@ -104,6 +104,33 @@ class TestDistance:
         assert "unknown vertex" in err
 
 
+# a non-edge given on the command line is named by the labels the user wrote
+NON_EDGE_CASES = [
+    pytest.param("vertices: a b c d e\na b\nb c\nc d\n", "a c", "a b", "{a c}",
+                 id="symbolic"),
+    pytest.param("1 2\n01 3\n", "2,3", "1 2", "{2 3}", id="spellings"),
+]
+
+
+class TestNonEdge:
+    @pytest.mark.parametrize("text, spec, edge, named", NON_EDGE_CASES)
+    def test_distance(self, capsys, tmp_path, text, spec, edge, named):
+        p = tmp_path / "h.txt"
+        p.write_text(text)
+        for a, b in [(spec, edge), (edge, spec)]:
+            code, out, err = run(capsys, "distance", str(p), a, b)
+            assert code == 2 and out == ""
+            assert err == f"error: {named} is not an edge\n"
+
+    @pytest.mark.parametrize("text, spec, edge, named", NON_EDGE_CASES)
+    def test_splitting_edge(self, capsys, tmp_path, text, spec, edge, named):
+        p = tmp_path / "h.txt"
+        p.write_text(text)
+        code, out, err = run(capsys, "check", str(p), "--splitting-edge", spec)
+        assert code == 2 and out == ""
+        assert err == f"error: {named} is not an edge\n"
+
+
 class TestCheck:
     def test_flags(self, capsys, p4_file):
         for flag, expect in [
@@ -227,6 +254,9 @@ class TestExitCodes:
             ["--suite", "domination", "--max-vertices", "2"],
             ["--suite", "structural", "--max-vertices", "1"],
             ["--suite", "mayer-vietoris", "--max-vertices", "1"],
+            ["--samples", "-3"],
+            ["--workers", "0"],
+            ["--workers", "-2"],
         ],
     )
     def test_verify_bad_arguments(self, capsys, argv):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hyperconn import generators
 from hyperconn.generators import (
     all_graphs,
     chordal_graphs,
@@ -27,6 +28,19 @@ class TestExhaustive:
         expect = [1, 2, 4, 10, 27, 94]
         got = [sum(1 for _ in chordal_graphs(n)) for n in range(1, 7)]
         assert got == expect
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_graph_per_isomorphism_class(self, n):
+        nx = pytest.importorskip("networkx")
+        ours = []
+        for G in all_graphs(n):
+            g = nx.empty_graph(range(1, n + 1))
+            g.add_edges_from(tuple(e) for e in G.edges)
+            ours.append(g)
+        atlas = [g for g in nx.graph_atlas_g() if g.number_of_nodes() == n]
+        for g in atlas:
+            assert sum(nx.is_isomorphic(g, h) for h in ours) == 1
+        assert len(ours) == len(atlas)
 
     def test_all_yielded_are_valid(self):
         for G in all_graphs(5):
@@ -80,3 +94,18 @@ class TestRandomModels:
             sizes.add((H.order, len(H.edges)))
         # the construction explores varied shapes
         assert len(sizes) >= 3
+
+    def test_each_hypergraph_recognized_once(self, monkeypatch):
+        seen = []
+        real = generators.is_triangulated
+
+        def recorder(H, *args, **kwargs):
+            seen.append(H)
+            return real(H, *args, **kwargs)
+
+        monkeypatch.setattr(generators, "is_triangulated", recorder)
+        rng = random.Random(73)
+        for _ in range(10):
+            seen.clear()
+            random_triangulated_uniform(rng, 3, 8)
+            assert seen and len(set(seen)) == len(seen)
