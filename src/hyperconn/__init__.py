@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
     VertexNotPresent,
 )
-from .extnat import INF, ExtNat, ceil_half, is_finite
+from .extnat import INF, ExtNat, ceil_half
 from .hypergraph import Hypergraph, d_complete, d_complete_on, disjoint_union
 from .complexes import (
     SimplicialComplex,
@@ -117,7 +117,7 @@ __all__ = [
     "ParseError", "UnknownFixture", "ResourceError", "BudgetExceeded",
     "CapacityExceeded",
     # extended naturals
-    "INF", "ExtNat", "is_finite", "ceil_half",
+    "INF", "ExtNat", "ceil_half",
     # hypergraphs
     "Hypergraph", "d_complete", "d_complete_on", "disjoint_union",
     # complexes

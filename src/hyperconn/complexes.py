@@ -114,9 +114,6 @@ class SimplicialComplex:
         object.__setattr__(self, "_faces", frozenset(out))
         return self._faces
 
-    def face_count(self) -> int:
-        return len(self.faces())
-
 
 def full_simplex(vertices: Iterable[int]) -> SimplicialComplex:
     """The simplex on the given vertices; {empty} when none are given."""
@@ -131,14 +128,14 @@ def simplex_boundary(vertices: Iterable[int]) -> SimplicialComplex:
     return SimplicialComplex(frozenset(vs) - {v} for v in vs)
 
 
-def independence_complex(C: Hypergraph, cap: int | None = None) -> SimplicialComplex:
+def independence_complex(C: Hypergraph) -> SimplicialComplex:
     """Faces are the subsets of V(C) containing no edge of C.
 
     Facets are complements of minimal transversals of the edge family.  For
     an edgeless hypergraph this is the full simplex on V; on the empty
     vertex set it is {empty}.
     """
-    if C.order > vertex_cap(cap):
+    if C.order > vertex_cap():
         raise CapacityExceeded(f"{C.order} vertices exceeds the enumeration cap")
     if not C.edges:
         return full_simplex(C.vertices)
@@ -166,7 +163,7 @@ def independence_complex(C: Hypergraph, cap: int | None = None) -> SimplicialCom
     return SimplicialComplex(facets)
 
 
-def minimal_nonfaces(delta: SimplicialComplex, cap: int | None = None) -> Hypergraph:
+def minimal_nonfaces(delta: SimplicialComplex) -> Hypergraph:
     """Inclusion-minimal non-faces, as a hypergraph on the complex's vertices.
 
     Every minimal non-face has size >= 2 (singletons are faces by the type
@@ -175,9 +172,9 @@ def minimal_nonfaces(delta: SimplicialComplex, cap: int | None = None) -> Hyperg
     non-face.
     """
     n = len(delta.vertices)
-    if n > vertex_cap(cap):
+    if n > vertex_cap():
         raise CapacityExceeded(f"{n} vertices exceeds the enumeration cap")
-    face_set = delta.faces(cap)
+    face_set = delta.faces()
     verts = sorted(delta.vertices)
     out = []
     for k in range(2, min(n, delta.dim + 2) + 1):

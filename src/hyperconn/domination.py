@@ -69,9 +69,7 @@ def _sp_masks(delta: SimplicialComplex) -> tuple:
     return verts, faces
 
 
-def gamma_tilde_witness(
-    delta: SimplicialComplex, cap: int | None = None
-) -> tuple[ExtNat, frozenset | None]:
+def gamma_tilde_witness(delta: SimplicialComplex) -> tuple[ExtNat, frozenset | None]:
     """(gamma_tilde, a smallest dominating set or None when none exists).
 
     Search order: increasing size, lexicographic within a size, so the
@@ -79,7 +77,7 @@ def gamma_tilde_witness(
     as for a full simplex.
     """
     n = len(delta.vertices)
-    if n > vertex_cap(cap):
+    if n > vertex_cap():
         raise CapacityExceeded(f"{n} vertices exceeds the domination search cap")
     verts, faces = _sp_masks(delta)
     full = (1 << n) - 1
@@ -99,14 +97,14 @@ def gamma_tilde_witness(
     return (INF, None)
 
 
-def gamma_tilde(delta: SimplicialComplex, cap: int | None = None) -> ExtNat:
+def gamma_tilde(delta: SimplicialComplex) -> ExtNat:
     """Least size of a set A with sp_tilde(A) covering every vertex."""
-    return gamma_tilde_witness(delta, cap)[0]
+    return gamma_tilde_witness(delta)[0]
 
 
-def k_bound(C: Hypergraph, cap: int | None = None) -> ExtNat:
+def k_bound(C: Hypergraph) -> ExtNat:
     """Half the domination number of the independence complex, rounded up."""
-    return ceil_half(gamma_tilde(independence_complex(C, cap), cap))
+    return ceil_half(gamma_tilde(independence_complex(C)))
 
 
 def is_edgewise_dominant(C: Hypergraph, family) -> bool:

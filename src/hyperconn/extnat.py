@@ -13,10 +13,6 @@ INF = math.inf
 ExtNat = int | float
 
 
-def is_finite(x: ExtNat) -> bool:
-    return x != INF
-
-
 def ceil_half(x: ExtNat) -> ExtNat:
     """Ceiling of x/2, infinity-aware."""
     if x == INF:

@@ -28,29 +28,22 @@ __all__ = [
 ]
 
 
-def random_hypergraph(
-    rng: Random,
-    max_vertices: int,
-    dims: tuple = (2, 3),
-    p: float | None = None,
-    min_vertices: int = 1,
-) -> Hypergraph:
-    """One random hypergraph: n uniform in [min, max], each candidate edge
-    of a size in dims kept independently with probability p, then reduced
-    to inclusion-minimal form.  p defaults to a fresh draw per instance so
-    pools mix sparse and dense cases."""
-    if max_vertices < min_vertices:
-        raise ValidationError(
-            f"max_vertices {max_vertices} below min_vertices {min_vertices}"
-        )
-    n = rng.randint(min_vertices, max_vertices)
-    prob = rng.uniform(0.08, 0.55) if p is None else p
+def random_hypergraph(rng: Random, max_vertices: int) -> Hypergraph:
+    """One random hypergraph on vertices 1..n: n uniform in [1, max_vertices],
+    a probability p drawn uniformly from [0.08, 0.55] so pools mix sparse
+    and dense cases, each candidate edge of size 2, then of size 3, kept
+    independently with probability p, and the result reduced to
+    inclusion-minimal form."""
+    if max_vertices < 1:
+        raise ValidationError(f"max_vertices {max_vertices} below 1")
+    n = rng.randint(1, max_vertices)
+    p = rng.uniform(0.08, 0.55)
     chosen = []
-    for d in dims:
-        if d < 2 or d > n:
+    for d in (2, 3):
+        if d > n:
             continue
         for c in itertools.combinations(range(1, n + 1), d):
-            if rng.random() < prob:
+            if rng.random() < p:
                 chosen.append(frozenset(c))
     minimal = [e for e in chosen if not any(o is not e and o < e for o in chosen)]
     return Hypergraph(range(1, n + 1), set(minimal))

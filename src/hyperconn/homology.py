@@ -201,10 +201,10 @@ def reduced_homology(delta: SimplicialComplex, cap: int | None = None) -> Homolo
     return HomologyProfile(dim=top, betti=betti, torsion=torsion)
 
 
-def conn_h(delta: SimplicialComplex, cap: int | None = None) -> ExtNat:
+def conn_h(delta: SimplicialComplex) -> ExtNat:
     """Largest k with vanishing reduced homology through dimension k.
 
     Values: -2 for {empty}, -1 for a disconnected nonempty complex, INF
     when every reduced homology group vanishes.
     """
-    return reduced_homology(delta, cap).connectivity()
+    return reduced_homology(delta).connectivity()

@@ -149,7 +149,7 @@ def max_dimension_bound(C: Hypergraph) -> int:
     d = C.uniform_size()
     if d is None:
         raise NotUniform("the dimension bound needs at least one edge size d")
-    return (d - 1) * c_max_disjoint(C, d + 1) - 1
+    return (d - 1) * c_max_disjoint(C) - 1
 
 
 @dataclass(frozen=True)

@@ -105,10 +105,6 @@ class Hypergraph:
     def order(self) -> int:
         return len(self.vertices)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def has_edge(self, F: Iterable[int]) -> bool:
         return frozenset(F) in self._edge_set
 

@@ -1,4 +1,5 @@
-"""Default resource limits, overridable per call or via environment."""
+"""Default resource limits, overridable via environment variables; the
+face enumeration cap and the psi node budget also take a per-call override."""
 
 import os
 
@@ -33,5 +34,6 @@ def psi_budget(override: int | None = None) -> int:
     return _limit(override, "HYPERCONN_PSI_BUDGET", DEFAULT_PSI_BUDGET)
 
 
-def triangulated_cap(override: int | None = None) -> int:
-    return _limit(override, "HYPERCONN_TRIANGULATED_CAP", DEFAULT_TRIANGULATED_CAP)
+def triangulated_cap() -> int:
+    """Vertex cap of is_triangulated; set only by the environment."""
+    return _limit(None, "HYPERCONN_TRIANGULATED_CAP", DEFAULT_TRIANGULATED_CAP)

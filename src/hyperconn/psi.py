@@ -173,6 +173,11 @@ class PsiSolver:
         vmask, edges, vlist = _encode(C)
         index = {v: i for i, v in enumerate(vlist)}
         v = self._val(vmask, edges)
+        # F attains v exactly when both branches of its min reach v, since
+        # no edge's min exceeds the max.  The window probe (v - 1, v) decides
+        # the deletion branch; v = INF has no such window, and descent mode
+        # evaluates the branch exactly
+        exact = v == INF or self.cap_preservation
         for F in C.edges:
             fmask = 0
             for x in F:
@@ -180,22 +185,12 @@ class PsiSolver:
             i = edges.index(fmask)
             rest = edges[:i] + edges[i + 1 :]
             m1 = self._contract_value(vmask, edges, i) + len(F) - 1
-            if m1 < v:
-                continue
-            if v == INF:
-                if self._val(vmask, rest) == INF:
-                    return F
-            elif m1 == v:
-                if self.cap_preservation:
-                    if self._val(vmask, rest) >= v:
-                        return F
-                else:
-                    d_lo, _d_hi = self._search(vmask, rest, v - 1, v)
-                    if d_lo >= v:
-                        return F
-            else:
-                if self._val(vmask, rest) == v:
-                    return F
+            if m1 >= v and (
+                self._val(vmask, rest) >= v
+                if exact
+                else self._search(vmask, rest, v - 1, v)[0] >= v
+            ):
+                return F
         raise AssertionError("no argmax edge found")
 
     def _value(self, vmask: int, edges: tuple) -> ExtNat:
@@ -378,9 +373,9 @@ def psi_witness(
     return (s.value(C), s.argmax_edge(C))
 
 
-def psi_naive(C: Hypergraph, budget: int | None = None) -> ExtNat:
+def psi_naive(C: Hypergraph) -> ExtNat:
     """Plain unmemoized recursion; the oracle the solver is tested against."""
-    limit = psi_budget(budget)
+    limit = psi_budget()
     count = [0]
 
     def rec(H: Hypergraph) -> ExtNat:

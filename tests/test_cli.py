@@ -280,6 +280,14 @@ LIMIT_COMMANDS = {
     "HYPERCONN_TRIANGULATED_CAP": ["check", "--triangulated"],
 }
 
+# a value of each limit too low for the command on the 3-vertex path: the
+# caps are below its vertex count, and a zero budget stops the first node
+LIMIT_TOO_LOW = {
+    "HYPERCONN_VERTEX_CAP": "2",
+    "HYPERCONN_PSI_BUDGET": "0",
+    "HYPERCONN_TRIANGULATED_CAP": "2",
+}
+
 
 @pytest.fixture(scope="module")
 def p3_file(tmp_path_factory):
@@ -297,6 +305,14 @@ class TestEnvironmentLimits:
         code, _, err = run(capsys, command[0], p3_file, *command[1:])
         assert code == 2
         assert var in err
+
+    @pytest.mark.parametrize("var", sorted(LIMIT_COMMANDS))
+    def test_limit_too_low_exits_3(self, capsys, monkeypatch, p3_file, var):
+        monkeypatch.setenv(var, LIMIT_TOO_LOW[var])
+        command = LIMIT_COMMANDS[var]
+        code, out, err = run(capsys, command[0], p3_file, *command[1:])
+        assert code == 3 and out == ""
+        assert err.startswith("resource limit: ") and "Traceback" not in err
 
     @settings(deadline=None, max_examples=60)
     @given(
