@@ -172,8 +172,6 @@ def minimal_nonfaces(delta: SimplicialComplex) -> Hypergraph:
     non-face.
     """
     n = len(delta.vertices)
-    if n > vertex_cap():
-        raise CapacityExceeded(f"{n} vertices exceeds the enumeration cap")
     face_set = delta.faces()
     verts = sorted(delta.vertices)
     out = []

@@ -15,7 +15,7 @@ from .complexes import SimplicialComplex, independence_complex
 from .errors import CapacityExceeded, NotASubset, NotSubfamily
 from .extnat import INF, ExtNat, ceil_half
 from .hypergraph import Hypergraph
-from .limits import DEFAULT_COMBINATION_CAP, vertex_cap
+from .limits import DEFAULT_COMBINATION_CAP
 
 __all__ = [
     "sp_tilde",
@@ -76,10 +76,8 @@ def gamma_tilde_witness(delta: SimplicialComplex) -> tuple[ExtNat, frozenset | N
     witness is deterministic.  INF when even the full vertex set fails,
     as for a full simplex.
     """
-    n = len(delta.vertices)
-    if n > vertex_cap():
-        raise CapacityExceeded(f"{n} vertices exceeds the domination search cap")
     verts, faces = _sp_masks(delta)
+    n = len(verts)
     full = (1 << n) - 1
     for size in range(0, n + 1):
         for combo in combinations(range(n), size):

@@ -20,12 +20,11 @@ window, so uninformative branches are cut without ever changing the result:
 * the deletion branch is evaluated with the window (best, m1): any value
   at least m1 makes the min exactly m1, any value at most best cannot win.
 
-Contraction residuals are classified cheaply before being built: an empty
-residual vertex set means psi(C:F) = 0 and a one-vertex residual cannot
-carry an edge, so psi(C:F) is infinite.  Only the remaining children pay
-for a full contraction, and only after the deletion branch failed to
-settle them.  Stored bounds are window-independent facts, so entries can
-be reused by later queries at any window.
+Children are visited in edge order, and each child's cap is the exact
+value of its contraction residual, looked up in or added to the same table
+(an empty residual has value 0, a one-vertex residual is infinite).
+Stored bounds are window-independent facts, so entries can be reused by
+later queries at any window.
 
 Two value-preserving shortcuts, both provable from the recursion alone by
 induction (deletion and contraction commute with them edge by edge):
@@ -109,39 +108,6 @@ def _component_mask(edges: tuple) -> int:
     return comp
 
 
-def _children(vmask: int, edges: tuple) -> list:
-    """(capped branch value or None, edge index) for every edge, in search
-    order, classified without building any contraction.
-
-    The residual vertex mask follows from the singleton differences alone:
-    when it is empty psi(C:F) = 0 and the cap is |F| - 1; when it holds one
-    vertex the residual carries no edge and the cap is infinite; otherwise
-    the cap is unknown (None) until the contraction is built.  Known finite
-    caps come first, largest first, since they raise the best min early and
-    later children are skipped against it; then unknown caps in edge order;
-    then infinite caps, whose min is the deletion value itself.
-    """
-    finite = []
-    unknown = []
-    infinite = []
-    for i, f in enumerate(edges):
-        nf = ~f
-        s = 0
-        for e in edges:
-            d = e & nf
-            if d and not d & (d - 1):
-                s |= d
-        vp = vmask & nf & ~s
-        if vp == 0:
-            finite.append((f.bit_count() - 1, i))
-        elif not vp & (vp - 1):
-            infinite.append((INF, i))
-        else:
-            unknown.append((None, i))
-    finite.sort(reverse=True)
-    return finite + unknown + infinite
-
-
 class PsiSolver:
     """Exact psi evaluation over bitmask states with a shared window table."""
 
@@ -155,9 +121,6 @@ class PsiSolver:
         self.nodes = 0
         self.decompose_components = decompose_components
         self.cap_preservation = bool(cap_preservation)
-        # exact-value entry point: descent when the preserving-deletion
-        # step is enabled, otherwise the proven window search
-        self._val = self._value_descent if self.cap_preservation else self._value
         # (vertex mask, edge mask tuple) -> [lo, hi]
         self.table: dict[tuple, list] = {}
 
@@ -193,7 +156,11 @@ class PsiSolver:
                 return F
         raise AssertionError("no argmax edge found")
 
-    def _value(self, vmask: int, edges: tuple) -> ExtNat:
+    def _val(self, vmask: int, edges: tuple) -> ExtNat:
+        """Exact value: descent when the preserving-deletion step is
+        enabled, otherwise the proven full-window search."""
+        if self.cap_preservation:
+            return self._value_descent(vmask, edges)
         lo, hi = self._search(vmask, edges, -1, INF)
         assert lo == hi, "full-window search must be exact"
         return lo
@@ -270,9 +237,8 @@ class PsiSolver:
             raise BudgetExceeded(f"psi node budget {self.budget} exhausted")
         best_cap = -1
         best_i = -1
-        for cap, i in sorted(_children(vmask, edges), key=lambda c: c[1]):
-            if cap is None:
-                cap = self._contract_value(vmask, edges, i) + edges[i].bit_count() - 1
+        for i, f in enumerate(edges):
+            cap = self._contract_value(vmask, edges, i) + f.bit_count() - 1
             if cap == INF:
                 # an infinite capped branch makes its deletion preserving
                 # whether the value is finite or not
@@ -310,27 +276,15 @@ class PsiSolver:
         r = ent[0]
         u_acc: ExtNat = -1
         cut = False
-        for m1, i in _children(vmask, edges):
+        for i, f in enumerate(edges):
             a = r if r > alpha else alpha
-            rest = None
-            if m1 is None:
-                # unknown cap: probe the deletion branch first; if it comes
-                # back dominated the contraction never needs to be built
-                rest = edges[:i] + edges[i + 1 :]
-                d_lo, d_hi = self._search(vmask, rest, a, beta)
-                if d_hi <= a:
-                    if d_hi > u_acc:
-                        u_acc = d_hi
-                    continue
-                m1 = self._contract_value(vmask, edges, i) + edges[i].bit_count() - 1
+            m1 = self._contract_value(vmask, edges, i) + f.bit_count() - 1
             if m1 <= a:
                 if m1 > u_acc:
                     u_acc = m1
                 continue
-            if rest is None:
-                rest = edges[:i] + edges[i + 1 :]
             b = m1 if m1 < beta else beta
-            d_lo, d_hi = self._search(vmask, rest, a, b)
+            d_lo, d_hi = self._search(vmask, edges[:i] + edges[i + 1 :], a, b)
             min_lo = d_lo if d_lo < m1 else m1
             min_hi = d_hi if d_hi < m1 else m1
             if min_hi > u_acc:

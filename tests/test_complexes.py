@@ -12,6 +12,7 @@ from hyperconn import (
     complex_union,
     deletion,
     full_simplex,
+    gamma_tilde,
     independence_complex,
     induced_subcomplex,
     join,
@@ -47,6 +48,14 @@ class TestComplexBasics:
         big = full_simplex(range(30))
         with pytest.raises(CapacityExceeded):
             big.faces()
+
+    def test_capacity_through_faces(self, monkeypatch):
+        # both searches reach the cap through faces(), not a check of their own
+        monkeypatch.setenv("HYPERCONN_VERTEX_CAP", "3")
+        with pytest.raises(CapacityExceeded):
+            minimal_nonfaces(simplex_boundary(range(5)))
+        with pytest.raises(CapacityExceeded):
+            gamma_tilde(simplex_boundary(range(5)))
 
     def test_sphere_shapes(self):
         s0 = simplex_boundary([1, 2])

@@ -1,7 +1,9 @@
 """The recursive connectivity bound: ground truths, solver agreement,
 structural laws, and resource limits."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -56,6 +58,13 @@ PINNED_LARGE = [
     (d_complete(5, 3), 2),
     (d_complete(6, 3), 2),
     (Hypergraph(range(1, 6), [{1, 2}, {2, 3}, {1, 3}, {3, 4}, {4, 5}, {3, 5}]), 1),
+    # closed forms: ceil((n - 1) / 3) on the cycle C_n; on the path P_n,
+    # inf when n = 1 mod 3, else ceil(n / 3)
+    (cycle_hypergraph(18), 6),
+    (cycle_hypergraph(30), 10),
+    (path_hypergraph(22), INF),
+    (path_hypergraph(37), INF),
+    (path_hypergraph(48), 16),
 ]
 
 
@@ -119,12 +128,33 @@ class TestWitness:
                 # base case: no outer maximization happened
                 assert v == 0 or v == INF
                 continue
-            inner = min(psi(H.delete_edge(F)), psi(H.contract(F)) + len(F) - 1)
-            assert inner == v
+            # the witness is the first edge in canonical order attaining v
+            for E in H.edges:
+                inner = min(psi_naive(H.delete_edge(E)), psi_naive(H.contract(E)) + len(E) - 1)
+                if E == F:
+                    assert inner == v
+                    break
+                assert inner != v
 
     def test_witness_deterministic(self):
         H = cycle_hypergraph(5)
         assert psi_witness(H) == psi_witness(H)
+
+
+class TestSolverLifetime:
+    @pytest.mark.parametrize("cap_preservation", [False, True])
+    def test_freed_by_reference_counting(self, cap_preservation):
+        # a solver holding a reference to itself would outlive its last
+        # name, table included, until a full collection
+        gc.disable()
+        try:
+            s = PsiSolver(cap_preservation=cap_preservation)
+            psi_witness(cycle_hypergraph(9), solver=s)
+            ref = weakref.ref(s)
+            del s
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestResources:
