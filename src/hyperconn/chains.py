@@ -222,24 +222,26 @@ def edge_distance(C: Hypergraph, F, G) -> ExtNat:
 def is_properly_connected(C: Hypergraph) -> bool:
     """Every intersecting edge pair at distance exactly d - |F & G|.
 
-    Vacuously true for an edgeless hypergraph; mixed edge sizes raise
-    NotUniform.
+    False exactly when some edges F, G with 1 <= |F & G| <= d - 2 have no
+    a in F - G, b in G - F making F - a + b an edge.  Proof, k = d - |F & G|:
+    a step swaps one vertex, so a chain of length k gains a vertex of G at
+    every step, and its first step is such a swap.  Conversely a k-step
+    walk gaining G vertex by vertex is a proper chain: each edge is nearer
+    G than the last, and the pivots, x_1 in F & G and then the vertex
+    gained one step earlier, are distinct.  Induction on k, as F - a + b
+    meets G in |F & G| + 1 vertices, gives the walk.  Vacuously true when
+    edgeless; mixed edge sizes raise NotUniform.
     """
     if not C.edges:
         return True
     d = C.uniform_size()
     if d is None:
         raise NotUniform("properly connected is defined for d-uniform input")
-    for i, F in enumerate(C.edges):
-        for G in C.edges[i + 1 :]:
-            common = F & G
-            if not common:
-                continue
-            # each proper-chain step swaps one vertex of a d-set, so no
-            # chain from F to G is shorter than d - |F & G|: one found
-            # within that length has exactly that length
-            if shortest_chain(C, F, G, max_length=d - len(common)) is None:
-                return False
+    for F, G in combinations(C.edges, 2):
+        if 1 <= len(F & G) <= d - 2 and not any(
+            C.has_edge(F - {a} | {b}) for a in F - G for b in G - F
+        ):
+            return False
     return True
 
 

@@ -128,6 +128,33 @@ def simplex_boundary(vertices: Iterable[int]) -> SimplicialComplex:
     return SimplicialComplex(frozenset(vs) - {v} for v in vs)
 
 
+def _minimal_transversals(ground, family) -> list:
+    """Inclusion-minimal sets meeting every member of family, found by
+    extending a choice with each vertex of the first member it misses and
+    keeping the choices whose every vertex privately meets some member.
+    Raises CapacityExceeded when ground is over the enumeration cap."""
+    if len(ground) > vertex_cap():
+        raise CapacityExceeded(f"{len(ground)} vertices exceeds the enumeration cap")
+    transversals: set = set()
+
+    def extend(i: int, chosen: set) -> None:
+        j = i
+        while j < len(family) and family[j] & chosen:
+            j += 1
+        if j == len(family):
+            transversals.add(frozenset(chosen))
+            return
+        for v in sorted(family[j]):
+            chosen.add(v)
+            extend(j + 1, chosen)
+            chosen.discard(v)
+
+    extend(0, set())
+    return [
+        t for t in transversals if all(any(e & t == {v} for e in family) for v in t)
+    ]
+
+
 def independence_complex(C: Hypergraph) -> SimplicialComplex:
     """Faces are the subsets of V(C) containing no edge of C.
 
@@ -135,54 +162,22 @@ def independence_complex(C: Hypergraph) -> SimplicialComplex:
     an edgeless hypergraph this is the full simplex on V; on the empty
     vertex set it is {empty}.
     """
-    if C.order > vertex_cap():
-        raise CapacityExceeded(f"{C.order} vertices exceeds the enumeration cap")
-    if not C.edges:
-        return full_simplex(C.vertices)
-    edges = C.edges
-    transversals: set = set()
-
-    def extend(i: int, chosen: set) -> None:
-        j = i
-        while j < len(edges) and edges[j] & chosen:
-            j += 1
-        if j == len(edges):
-            transversals.add(frozenset(chosen))
-            return
-        for v in sorted(edges[j]):
-            chosen.add(v)
-            extend(j + 1, chosen)
-            chosen.discard(v)
-
-    extend(0, set())
-    facets = []
-    for t in transversals:
-        # t is minimal iff every chosen vertex privately covers some edge
-        if all(any(e & t == {v} for e in edges) for v in t):
-            facets.append(C.vertices - t)
-    return SimplicialComplex(facets)
+    return SimplicialComplex(
+        C.vertices - t for t in _minimal_transversals(C.vertices, C.edges)
+    )
 
 
 def minimal_nonfaces(delta: SimplicialComplex) -> Hypergraph:
     """Inclusion-minimal non-faces, as a hypergraph on the complex's vertices.
 
-    Every minimal non-face has size >= 2 (singletons are faces by the type
-    invariant) and the family is an antichain, so the result validates.
-    Candidates stop at dimension + 2: larger sets always contain a smaller
-    non-face.
+    The dual of independence_complex: a set is a non-face exactly when it
+    meets every facet's complement (V itself for {empty}), so these are the
+    minimal transversals of the complements.  Each vertex lies in a facet,
+    so every one has size >= 2 and the result validates.
     """
-    n = len(delta.vertices)
-    face_set = delta.faces()
-    verts = sorted(delta.vertices)
-    out = []
-    for k in range(2, min(n, delta.dim + 2) + 1):
-        for c in combinations(verts, k):
-            s = frozenset(c)
-            if s in face_set:
-                continue
-            if all(s - {v} in face_set for v in s):
-                out.append(s)
-    return Hypergraph(delta.vertices, out)
+    V = delta.vertices
+    family = [V - f for f in delta.facets or (frozenset(),)]
+    return Hypergraph(V, _minimal_transversals(V, family))
 
 
 def link(delta: SimplicialComplex, sigma: Iterable[int]) -> SimplicialComplex:

@@ -38,32 +38,31 @@ def sp_tilde(delta: SimplicialComplex, A) -> frozenset:
     A = frozenset(A)
     if not A <= delta.vertices:
         raise NotASubset(f"{sorted(A)} is not a subset of the vertex set")
-    out: set = set()
-    pending = set(delta.vertices)
-    for sigma in delta.faces():
-        if not sigma <= A:
-            continue
-        hits = {v for v in pending if not delta.has_face(sigma | {v})}
-        out |= hits
-        pending -= hits
-        if not pending:
-            break
-    return frozenset(out)
+    verts, faces = _sp_masks(delta)
+    amask = sum(1 << i for i, v in enumerate(verts) if v in A)
+    sp = 0
+    for smask, kmask in faces:
+        if smask & ~amask == 0:
+            sp |= kmask
+    return frozenset(v for i, v in enumerate(verts) if sp >> i & 1)
 
 
 def _sp_masks(delta: SimplicialComplex) -> tuple:
-    """Bitmask tables for fast domination search."""
+    """Sorted vertices and (face mask, kill mask) pairs over their positions.
+
+    v kills sigma (sigma + {v} is not a face) exactly when v lies in no
+    facet containing sigma; faces that kill nothing are left out."""
     verts = sorted(delta.vertices)
     pos = {v: i for i, v in enumerate(verts)}
+    full = (1 << len(verts)) - 1
+    fmasks = [sum(1 << pos[v] for v in f) for f in delta.facets]
     faces = []
     for sigma in delta.faces():
-        smask = 0
-        for v in sigma:
-            smask |= 1 << pos[v]
-        kmask = 0
-        for v in verts:
-            if v not in sigma and not delta.has_face(sigma | {v}):
-                kmask |= 1 << pos[v]
+        smask = sum(1 << pos[v] for v in sigma)
+        kmask = full
+        for fmask in fmasks:
+            if smask & fmask == smask:
+                kmask &= ~fmask
         if kmask:
             faces.append((smask, kmask))
     return verts, faces

@@ -4,6 +4,8 @@ Text format: one edge per line, whitespace-separated labels, with an
 optional leading header line "vertices: a b c" declaring the full vertex
 set (needed exactly when isolated vertices exist).  Blank lines and lines
 starting with # are ignored.  JSON format mirrors HypergraphDocument.
+A label appears once in the vertex list and once per edge.  Documents are
+canonical from construction, so the emitters print them as stored.
 
 Labels are strings in documents.  When every label is an integer written
 the way Python prints it (``str(int(x)) == x``: no sign but "-", no
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
 from .errors import ParseError, ValidationError
@@ -41,7 +43,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HypergraphDocument:
-    """Serialized form: a name, unique labels, and edges as label lists."""
+    """Serialized form: a name, unique labels, and edges as label lists.
+
+    The given labels are validated, then stored sorted, with the edges
+    deduplicated and sorted, so input order never shows."""
 
     name: str = ""
     vertices: tuple = ()
@@ -54,22 +59,18 @@ class HypergraphDocument:
             raise ValidationError(f"duplicate labels: {dup}")
         declared = set(labels)
         for e in self.edges:
+            if len(set(e)) != len(e):
+                raise ValidationError(f"repeated label in edge {list(e)}")
             for x in e:
                 if x not in declared:
                     raise ValidationError(f"edge label {x!r} not in the vertex list")
-
-
-def _canonical(name: str, vertices, edges) -> HypergraphDocument:
-    verts = sorted(set(vertices), key=_label_key)
-    seen = set()
-    canon_edges = []
-    for e in edges:
-        t = tuple(sorted(set(e), key=_label_key))
-        if t not in seen:
-            seen.add(t)
-            canon_edges.append(t)
-    canon_edges.sort(key=lambda t: (len(t), tuple(_label_key(x) for x in t)))
-    return HypergraphDocument(name, tuple(verts), tuple(canon_edges))
+        edges = {tuple(sorted(e, key=_label_key)) for e in self.edges}
+        object.__setattr__(self, "vertices", tuple(sorted(labels, key=_label_key)))
+        object.__setattr__(
+            self,
+            "edges",
+            tuple(sorted(edges, key=lambda t: (len(t), tuple(map(_label_key, t))))),
+        )
 
 
 def _is_int_label(x: str) -> bool:
@@ -115,14 +116,13 @@ def parse_text(text: str, name: str = "") -> HypergraphDocument:
                     raise ParseError(f"label {x!r} not in vertices: header", lineno)
         edges.append(tuple(labels))
         mentioned.extend(labels)
-    vertices = declared if declared is not None else sorted(set(mentioned), key=_label_key)
-    return _canonical(name, vertices, edges)
+    vertices = declared if declared is not None else set(mentioned)
+    return HypergraphDocument(name, vertices, edges)
 
 
 def emit_text(doc: HypergraphDocument) -> str:
     """Canonical text: sorted labels and edges, vertices: header exactly
     when some label lies in no edge."""
-    doc = _canonical(doc.name, doc.vertices, doc.edges)
     used = {x for e in doc.edges for x in e}
     lines = []
     if set(doc.vertices) != used:
@@ -151,16 +151,15 @@ def parse_json(text: str, name: str = "") -> HypergraphDocument:
         raise ParseError("edges must be a list of lists")
     str_edges = [tuple(str(x) for x in e) for e in edges]
     if verts is None:
-        verts = sorted({x for e in str_edges for x in e}, key=_label_key)
+        verts = {x for e in str_edges for x in e}
     elif isinstance(verts, list):
         verts = [str(x) for x in verts]
     else:
         raise ParseError("vertices must be a list")
-    return _canonical(doc_name, verts, str_edges)
+    return HypergraphDocument(doc_name, verts, str_edges)
 
 
 def emit_json(doc: HypergraphDocument) -> str:
-    doc = _canonical(doc.name, doc.vertices, doc.edges)
     payload = {
         "name": doc.name,
         "vertices": list(doc.vertices),
@@ -171,7 +170,6 @@ def emit_json(doc: HypergraphDocument) -> str:
 
 def _label_ids(doc: HypergraphDocument) -> tuple[dict, list]:
     """The label -> id mapping of a document and its edges as id sets."""
-    doc = _canonical(doc.name, doc.vertices, doc.edges)
     if all(_is_int_label(x) and str(int(x)) == x for x in doc.vertices):
         mapping = {x: int(x) for x in doc.vertices}
     else:
@@ -186,10 +184,10 @@ def document_to_hypergraph(doc: HypergraphDocument) -> tuple[Hypergraph, dict]:
 
 
 def hypergraph_to_document(H: Hypergraph, name: str = "") -> HypergraphDocument:
-    return _canonical(
+    return HypergraphDocument(
         name,
-        [str(v) for v in sorted(H.vertices)],
-        [tuple(str(v) for v in sorted(e)) for e in H.edges],
+        [str(v) for v in H.vertices],
+        [[str(v) for v in e] for e in H.edges],
     )
 
 
@@ -198,17 +196,15 @@ def document_to_complex(doc: HypergraphDocument) -> tuple[SimplicialComplex, dic
     facets are legal here, unlike hypergraph edges."""
     mapping, facets = _label_ids(doc)
     used = {v for f in facets for v in f}
-    for x, v in sorted(mapping.items()):
-        if v not in used:
-            facets.append(frozenset([v]))
+    facets += [frozenset([v]) for v in mapping.values() if v not in used]
     return SimplicialComplex(facets), mapping
 
 
 def complex_to_document(delta: SimplicialComplex, name: str = "") -> HypergraphDocument:
-    return _canonical(
+    return HypergraphDocument(
         name,
-        [str(v) for v in sorted(delta.vertices)],
-        [tuple(str(v) for v in sorted(f)) for f in delta.facets],
+        [str(v) for v in delta.vertices],
+        [[str(v) for v in f] for f in delta.facets],
     )
 
 

@@ -26,6 +26,20 @@ def independent_subsets(vertices, edges) -> set:
     return out
 
 
+def minimal_nonfaces(vertices, faces) -> set:
+    """Subsets of the vertex set outside the face set all of whose
+    one-smaller subsets are faces, by full scan."""
+    vs = sorted(vertices)
+    fs = set(faces)
+    return {
+        frozenset(sub)
+        for r in range(len(vs) + 1)
+        for sub in itertools.combinations(vs, r)
+        if frozenset(sub) not in fs
+        and all(frozenset(sub) - {v} in fs for v in sub)
+    }
+
+
 def facets_of(faces) -> set:
     fs = set(faces)
     return {f for f in fs if f and not any(f < g for g in fs)}
@@ -169,27 +183,27 @@ def total_domination(vertices, edges) -> float:
     return INF
 
 
+def covered(vertices, faces, A) -> set:
+    """Vertices v covered by A: some face sigma inside A has sigma + {v}
+    outside the complex."""
+    face_set = set(faces)
+    inside = [f for f in face_set if f <= frozenset(A)]
+    out = set()
+    for v in sorted(vertices):
+        for sigma in inside:
+            if v not in sigma and frozenset(sigma | {v}) not in face_set:
+                out.add(v)
+                break
+    return out
+
+
 def strong_dominating_number(vertices, faces) -> float:
     """Smallest |A| whose covered-vertex set is everything, by definition.
-
-    A vertex v is covered by A when some face sigma inside A has
-    sigma + {v} outside the complex.  INF when no A at all works.
-    """
+    INF when no A at all works."""
     vs = sorted(vertices)
     face_set = set(faces)
-
-    def covered(A: frozenset) -> set:
-        inside = [f for f in face_set if f <= A]
-        out = set()
-        for v in vs:
-            for sigma in inside:
-                if v not in sigma and frozenset(sigma | {v}) not in face_set:
-                    out.add(v)
-                    break
-        return out
-
     for r in range(len(vs) + 1):
         for sub in itertools.combinations(vs, r):
-            if covered(frozenset(sub)) == set(vs):
+            if covered(vs, face_set, sub) == set(vs):
                 return r
     return INF

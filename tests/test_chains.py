@@ -168,15 +168,24 @@ class TestProperlyConnected:
 
     def test_distance_law_oracle(self):
         # definition check: properly connected iff every intersecting
-        # pair attains distance d - |overlap|
+        # pair attains distance d - |overlap|; the 3- and 4-uniform draws
+        # exercise the local swap test on both verdicts
         rng = random.Random(56)
-        done = 0
-        while done < 25:
+        pool = []
+        while len(pool) < 25:
             H = random_hypergraph(rng, 7)
             d = H.uniform_size()
             if d is None or len(H.edges) < 2 or len(H.edges) > 7:
                 continue
-            done += 1
+            pool.append(H)
+        for d in (3, 4):
+            pool += [
+                random_uniform_hypergraph(rng, 7, d, min_edges=2, max_edges=7)
+                for _ in range(15)
+            ]
+        seen = set()
+        for H in pool:
+            d = H.uniform_size()
             expect = all(
                 oracles.chain_distance(H.edges, F, G) == d - len(F & G)
                 for F in H.edges
@@ -184,6 +193,8 @@ class TestProperlyConnected:
                 if F != G and F & G
             )
             assert is_properly_connected(H) == expect
+            seen.add((d, expect))
+        assert {(d, v) for d in (3, 4) for v in (True, False)} <= seen
 
     def test_triple_overlap_two(self):
         C = Hypergraph(range(1, 5), [{1, 2, 3}, {1, 2, 4}])

@@ -20,6 +20,7 @@ from hyperconn import (
     minimal_nonfaces,
     simplex_boundary,
 )
+from hyperconn.fixtures import lutz_acyclic_complex
 from hyperconn.generators import random_hypergraph
 
 import oracles
@@ -50,7 +51,8 @@ class TestComplexBasics:
             big.faces()
 
     def test_capacity_through_faces(self, monkeypatch):
-        # both searches reach the cap through faces(), not a check of their own
+        # minimal_nonfaces meets the cap in the minimal-transversal search,
+        # gamma_tilde in faces()
         monkeypatch.setenv("HYPERCONN_VERTEX_CAP", "3")
         with pytest.raises(CapacityExceeded):
             minimal_nonfaces(simplex_boundary(range(5)))
@@ -85,6 +87,32 @@ class TestIndependenceComplex:
         for _ in range(40):
             H = random_hypergraph(rng, 7)
             assert minimal_nonfaces(independence_complex(H)) == H
+
+    def test_minimal_nonfaces_matches_oracle(self):
+        # complexes that independence_complex did not build, so the
+        # round trip above cannot hide a shared fault
+        rng = random.Random(9)
+        pool = [
+            lutz_acyclic_complex(),
+            SimplicialComplex([]),
+            full_simplex([1]),
+            full_simplex(range(4)),
+            simplex_boundary([1, 2]),
+            simplex_boundary(range(5)),
+        ]
+        for _ in range(15):
+            a = independence_complex(random_hypergraph(rng, 4))
+            b = independence_complex(random_hypergraph(rng, 4))
+            shifted = SimplicialComplex({v + 10 for v in f} for f in b.facets)
+            pool.append(join(a, shifted))
+            c = independence_complex(random_hypergraph(rng, 7))
+            v = rng.choice(sorted(c.vertices))
+            pool.append(link(c, {v}))
+        for delta in pool:
+            got = minimal_nonfaces(delta)
+            assert got.vertices == delta.vertices
+            expect = oracles.minimal_nonfaces(delta.vertices, delta.faces())
+            assert set(got.edges) == expect
 
 
 class TestOperations:

@@ -10,15 +10,17 @@ from hyperconn import (
     d_complete,
     epsilon,
     epsilon_witness,
+    full_simplex,
     gamma_tilde,
     gamma_tilde_witness,
     independence_complex,
     is_edgewise_dominant,
     k_bound,
     psi,
+    simplex_boundary,
     sp_tilde,
 )
-from hyperconn.fixtures import cycle_hypergraph, path_hypergraph
+from hyperconn.fixtures import cycle_hypergraph, lutz_acyclic_complex, path_hypergraph
 from hyperconn.generators import all_graphs, random_hypergraph
 
 import oracles
@@ -69,6 +71,17 @@ class TestGammaTilde:
             assert sp_tilde(ind, A) == ind.vertices | frozenset()
             # also confirm it's covered by the package's own closure
             assert sp_tilde(ind, A) >= frozenset(H.vertices)
+
+    def test_sp_tilde_matches_oracle(self):
+        rng = random.Random(33)
+        pool = [lutz_acyclic_complex(), simplex_boundary(range(4)), full_simplex([1, 2])]
+        pool += [independence_complex(random_hypergraph(rng, 6)) for _ in range(40)]
+        for delta in pool:
+            vs = sorted(delta.vertices)
+            half = [v for v in vs if rng.random() < 0.5]
+            for A in ([], vs, half):
+                expect = oracles.covered(vs, delta.faces(), A)
+                assert sp_tilde(delta, A) == expect
 
 
 class TestEpsilon:

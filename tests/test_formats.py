@@ -80,6 +80,13 @@ class TestEmitText:
         # "1" and "01" share an integer value; the label breaks the tie
         assert emit_text(parse_text("1 01\n10 1_0\n")) == "01 1\n10 1_0\n"
 
+    def test_construction_order_never_shows(self):
+        text = "vertices: 2 10 a b c\n2 10\na c\n"
+        edges = (("c", "a"), ("10", "2"), ("a", "c"))
+        doc = HypergraphDocument("", ("c", "10", "b", "2", "a"), edges)
+        assert doc == parse_text(text)
+        assert emit_text(doc) == text
+
     def test_header_only_when_needed(self):
         H = Hypergraph([1, 2, 3], [{1, 2}])
         text = emit_text(hypergraph_to_document(H))
@@ -115,6 +122,15 @@ class TestJson:
     def test_non_json_rejected(self):
         with pytest.raises(ParseError):
             parse_json("not json at all")
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"vertices": ["a", "a", "b"], "edges": [["a", "b"]]}', '{"edges": [["a", "b", "a"]]}'],
+    )
+    def test_repeated_labels_rejected(self, text):
+        # the text format rejects the same repeats
+        with pytest.raises(ValidationError):
+            parse_json(text)
 
 
 class TestMapping:
