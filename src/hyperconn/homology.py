@@ -8,6 +8,9 @@ Conventions
 * Faces are oriented by the ascending order of their int vertices.
 * All arithmetic is over Python ints, so ranks and torsion are exact; no
   floating point or fixed-width overflow anywhere.
+* Smith normal form eliminates over the nonzero entries of each boundary
+  matrix only, pivoting on an entry of least absolute value (a unit when
+  there is one), and reduces a finished pivot's row mod the pivot.
 
 The connectivity number conn_h is the largest k such that the reduced
 homology vanishes in every dimension from -1 through k: -2 when homology is
@@ -18,6 +21,7 @@ dimension vanishes (for example any cone).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from math import gcd
 
 from .complexes import SimplicialComplex
@@ -35,81 +39,67 @@ def smith_diagonal(mat: list[list[int]]) -> list[int]:
     """Nonzero diagonal of a Smith normal form of an integer matrix.
 
     Returns positive ints normalized so each divides the next.  The input
-    is not modified.  Elimination picks the entry of least absolute value
-    as pivot, which keeps intermediate growth small in practice.
+    is not modified.  Elimination touches only nonzero entries: each row is
+    a {col: value} dict, with a column index of the rows meeting each
+    column.  The pivot p is an entry of least absolute value, the first
+    unit in row order when there is one.  Row operations clear its column;
+    once that column holds only p, a column operation against it changes
+    the pivot row alone, so that row is reduced mod p.  Any nonzero
+    remainder, in the column or in the row, is smaller than |p|, so the
+    next search finds a smaller pivot; otherwise p joins the diagonal.
     """
-    m = [row[:] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    rows = {i: {j: row[j] for j in compress(count(), row)} for i, row in enumerate(mat)}
+    rows = {i: row for i, row in rows.items() if row}
+    cols: list[set[int]] = [set() for _ in mat[0]] if mat else []
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
     diag: list[int] = []
-    r = 0
-    c = 0
-    while r < rows and c < cols:
-        if not _pivot_least(m, r, c):
-            break
-        while True:
-            p = m[r][c]
-            dirty = False
-            for i in range(r + 1, rows):
-                a = m[i][c]
-                if a:
-                    q = a // p
-                    if q:
-                        mr = m[r]
-                        mi = m[i]
-                        for j in range(c, cols):
-                            mi[j] -= q * mr[j]
-                    if m[i][c]:
-                        dirty = True
-            for j in range(c + 1, cols):
-                a = m[r][j]
-                if a:
-                    q = a // p
-                    if q:
-                        for i in range(r, rows):
-                            m[i][j] -= q * m[i][c]
-                    if m[r][j]:
-                        dirty = True
-            if not dirty:
-                break
-            # a remainder smaller than |p| appeared; make it the new pivot
-            _pivot_least(m, r, c)
-        diag.append(abs(m[r][c]))
-        r += 1
-        c += 1
-    return _normalize_divisibility(diag)
-
-
-def _pivot_least(m: list[list[int]], r: int, c: int) -> bool:
-    """Swap the first entry of least nonzero |a|, in row-major order over
-    rows r.. and columns c.., to (r, c); False when that block is zero."""
-    pi = pj = -1
-    best = 0
-    for i in range(r, len(m)):
-        mi = m[i]
-        for j in range(c, len(mi)):
-            a = mi[j]
-            if a and (best == 0 or abs(a) < best):
-                best = abs(a)
-                pi, pj = i, j
-                if best == 1:
+    while rows:
+        pivot = None
+        for i, row in rows.items():
+            j, a = min(row.items(), key=lambda e: abs(e[1]))
+            if pivot is None or abs(a) < abs(pivot[2]):
+                pivot = (i, j, a)
+                if abs(a) == 1:
                     break
-        if best == 1:
-            break
-    if best == 0:
-        return False
-    if pi != r:
-        m[r], m[pi] = m[pi], m[r]
-    if pj != c:
-        for row in m:
-            row[c], row[pj] = row[pj], row[c]
-    return True
+        i, j, p = pivot
+        prow = rows[i]
+        for k in [k for k in cols[j] if k != i]:
+            row = rows[k]
+            q = row[j] // p  # nonzero, as |p| is least
+            for c, a in prow.items():
+                v = row.get(c, 0) - q * a
+                if v:
+                    row[c] = v
+                    cols[c].add(k)
+                elif c in row:
+                    del row[c]
+                    cols[c].discard(k)
+            if not row:
+                del rows[k]
+        if len(cols[j]) > 1:
+            continue
+        for c in [c for c in prow if c != j]:
+            v = prow[c] % p
+            if v:
+                prow[c] = v
+            else:
+                del prow[c]
+                cols[c].discard(i)
+        if len(prow) == 1:
+            diag.append(abs(p))
+            del rows[i]
+            cols[j].clear()
+    return _normalize_divisibility(diag)
 
 
 def _normalize_divisibility(diag: list[int]) -> list[int]:
     # replace pairs (a, b) by (gcd, lcm) until each entry divides the next;
-    # the direct sum of cyclic groups is unchanged
-    d = [x for x in diag if x != 0]
+    # the direct sum of cyclic groups is unchanged.  Units divide every
+    # entry, so they go first and stay out of the quadratic pass
+    units = [x for x in diag if x == 1]
+    d = [x for x in diag if x > 1]
     changed = True
     while changed:
         changed = False
@@ -119,7 +109,7 @@ def _normalize_divisibility(diag: list[int]) -> list[int]:
                     g = gcd(d[i], d[j])
                     d[i], d[j] = g, d[i] * d[j] // g
                     changed = True
-    return sorted(d)
+    return units + sorted(d)
 
 
 @dataclass(frozen=True)
@@ -176,9 +166,10 @@ def reduced_homology(delta: SimplicialComplex, cap: int | None = None) -> Homolo
     Euler characteristic identity is asserted as an internal sanity check.
     """
     by_dim: dict[int, list[tuple]] = {-1: [()]}
-    for f in sorted(delta.faces(cap), key=lambda s: (len(s), tuple(sorted(s)))):
+    faces = [tuple(sorted(f)) for f in delta.faces(cap)]
+    for f in sorted(faces, key=lambda f: (len(f), f)):
         if f:
-            by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
+            by_dim.setdefault(len(f) - 1, []).append(f)
     top = delta.dim
     ranks: dict[int, int] = {}
     smith: dict[int, list[int]] = {}

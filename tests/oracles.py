@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 INF = float("inf")
 
@@ -66,6 +67,41 @@ def _rank_rational(rows: list) -> int:
         if row == len(mat):
             break
     return rank
+
+
+def _det(mat: list) -> int:
+    """Exact determinant by cofactor expansion along the first row."""
+    if not mat:
+        return 1
+    return sum(
+        (-1) ** j * a * _det([row[:j] + row[j + 1 :] for row in mat[1:]])
+        for j, a in enumerate(mat[0])
+        if a
+    )
+
+
+def invariant_factors(mat: list) -> list:
+    """Nonzero invariant factors of an integer matrix, ascending.
+
+    From the determinantal divisors: d_k is the gcd of all k x k minors,
+    and the k-th invariant factor is d_k / d_(k-1) for as long as d_k is
+    nonzero.  Every minor is expanded exactly, so this is only for
+    matrices up to about 5 x 5.
+    """
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    factors = []
+    prev = 1
+    for k in range(1, min(rows, cols) + 1):
+        d = 0
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                d = gcd(d, _det([[mat[r][c] for c in cs] for r in rs]))
+        if d == 0:
+            break
+        factors.append(d // prev)
+        prev = d
+    return factors
 
 
 def betti_numbers(faces) -> dict:

@@ -40,6 +40,22 @@ class TestSmith:
         # the matrix [[2]] presents Z/2
         assert smith_diagonal([[2]]) == [2]
 
+    def test_matches_determinantal_divisors(self):
+        # [[2, 3]] leaves a remainder in the pivot row once it is reduced
+        # mod p, [[2], [3]] one in the pivot column; each must be pivoted on
+        assert smith_diagonal([[2, 3]]) == [1]
+        assert smith_diagonal([[2], [3]]) == [1]
+        rng = random.Random(19)
+        entries = [0, 0, 1, -1, 2, -2, 3, 4, 6]
+        mats = [[[2, 3]], [[2], [3]], [[4, 6], [6, 9]]]
+        for _ in range(300):
+            r, c = rng.randint(1, 5), rng.randint(1, 5)
+            mats.append([[rng.choice(entries) for _ in range(c)] for _ in range(r)])
+        for mat in mats:
+            before = [row[:] for row in mat]
+            assert smith_diagonal(mat) == oracles.invariant_factors(mat), mat
+            assert mat == before
+
 
 class TestKnownSpaces:
     def test_spheres(self):
