@@ -358,9 +358,9 @@ def is_triangulated(C: Hypergraph) -> bool:
 
     Exponential in the vertex count; raises CapacityExceeded above the cap
     (default 16, set by HYPERCONN_TRIANGULATED_CAP).  A subhypergraph with
-    a vertex in no edge passes immediately, since that vertex qualifies;
-    the remaining verdicts only depend on the induced edge set, which is
-    memoized.
+    a vertex in no edge passes immediately, since that vertex qualifies.
+    Nothing is memoized: any other vertex set is the union of its induced
+    edges, so no two of them share an induced edge set.
     """
     d = C.uniform_size()
     if d is None and C.edges:
@@ -369,16 +369,9 @@ def is_triangulated(C: Hypergraph) -> bool:
     if n > triangulated_cap():
         raise CapacityExceeded(f"{n} vertices exceeds the triangulated check cap")
     verts = sorted(C.vertices)
-    ememo: dict = {}
     for mask in range(1, 1 << n):
-        A = frozenset(verts[i] for i in range(n) if mask >> i & 1)
-        sub = C.induced(A)
-        if len(A) > len(A - sub.isolated_vertices()):
-            continue  # an isolated vertex of the induced part qualifies
-        key = sub._edge_set
-        if key not in ememo:
-            ememo[key] = find_decomposition_vertex(sub) is not None
-        if not ememo[key]:
+        sub = C.induced(verts[i] for i in range(n) if mask >> i & 1)
+        if not sub.isolated_vertices() and find_decomposition_vertex(sub) is None:
             return False
     return True
 

@@ -254,14 +254,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except RecursionError:
+        print("resource limit: recursion depth exceeded", file=sys.stderr)
         return EXIT_BUDGET
 
 

@@ -129,30 +129,30 @@ def simplex_boundary(vertices: Iterable[int]) -> SimplicialComplex:
 
 
 def _minimal_transversals(ground, family) -> list:
-    """Inclusion-minimal sets meeting every member of family, found by
-    extending a choice with each vertex of the first member it misses and
-    keeping the choices whose every vertex privately meets some member.
-    Raises CapacityExceeded when ground is over the enumeration cap."""
+    """Inclusion-minimal sets meeting every member of family, each once, by
+    MMCS (Murakami and Uno, Discrete Appl. Math. 170, 2014): branch on the
+    candidates of the missed member with fewest, keeping a choice while each
+    chosen vertex alone meets some member; a branched vertex is a candidate
+    again in later branches only.  Raises CapacityExceeded above the vertex cap."""
     if len(ground) > vertex_cap():
         raise CapacityExceeded(f"{len(ground)} vertices exceeds the enumeration cap")
-    transversals: set = set()
+    transversals = []
 
-    def extend(i: int, chosen: set) -> None:
-        j = i
-        while j < len(family) and family[j] & chosen:
-            j += 1
-        if j == len(family):
-            transversals.add(frozenset(chosen))
+    def extend(chosen: frozenset, missed: list, cand: set) -> None:
+        if not missed:
+            transversals.append(chosen)
             return
-        for v in sorted(family[j]):
-            chosen.add(v)
-            extend(j + 1, chosen)
-            chosen.discard(v)
+        F = min(missed, key=lambda e: len(e & cand))
+        branch = sorted(F & cand)
+        cand -= F
+        for v in branch:
+            t = chosen | {v}
+            if all(any(e & t == {u} for e in family) for u in chosen):
+                extend(t, [e for e in missed if v not in e], cand)
+            cand.add(v)
 
-    extend(0, set())
-    return [
-        t for t in transversals if all(any(e & t == {v} for e in family) for v in t)
-    ]
+    extend(frozenset(), list(family), set(ground))
+    return transversals
 
 
 def independence_complex(C: Hypergraph) -> SimplicialComplex:

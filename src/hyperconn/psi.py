@@ -77,7 +77,7 @@ __all__ = ["PsiSolver", "psi", "psi_naive", "psi_witness", "degree_bound"]
 
 
 def _encode(C: Hypergraph) -> tuple:
-    """Bitmask state of a hypergraph plus the bit-to-vertex decoding list."""
+    """Bitmask state of a hypergraph plus each edge's mask in C.edges order."""
     vlist = sorted(C.vertices)
     index = {v: i for i, v in enumerate(vlist)}
     vmask = (1 << len(vlist)) - 1
@@ -87,7 +87,7 @@ def _encode(C: Hypergraph) -> tuple:
         for v in e:
             m |= 1 << index[v]
         masks.append(m)
-    return vmask, tuple(sorted(masks)), vlist
+    return vmask, tuple(sorted(masks)), masks
 
 
 def _component_mask(edges: tuple) -> int:
@@ -125,7 +125,7 @@ class PsiSolver:
         self.table: dict[tuple, list] = {}
 
     def value(self, C: Hypergraph) -> ExtNat:
-        vmask, edges, _vlist = _encode(C)
+        vmask, edges, _fmasks = _encode(C)
         return self._val(vmask, edges)
 
     def argmax_edge(self, C: Hypergraph):
@@ -133,18 +133,14 @@ class PsiSolver:
         at a base case."""
         if not C.vertices or not C.edges:
             return None
-        vmask, edges, vlist = _encode(C)
-        index = {v: i for i, v in enumerate(vlist)}
+        vmask, edges, fmasks = _encode(C)
         v = self._val(vmask, edges)
         # F attains v exactly when both branches of its min reach v, since
         # no edge's min exceeds the max.  The window probe (v - 1, v) decides
         # the deletion branch; v = INF has no such window, and descent mode
         # evaluates the branch exactly
         exact = v == INF or self.cap_preservation
-        for F in C.edges:
-            fmask = 0
-            for x in F:
-                fmask |= 1 << index[x]
+        for F, fmask in zip(C.edges, fmasks):
             i = edges.index(fmask)
             rest = edges[:i] + edges[i + 1 :]
             m1 = self._contract_value(vmask, edges, i) + len(F) - 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -545,7 +546,9 @@ def run_suite(
     """Run one named suite and aggregate its outcomes in generation order.
 
     Raises ValidationError, before any instance is drawn, for an unknown
-    name, negative samples or fewer than one worker."""
+    name, negative samples or fewer than one worker.  The pool starts at
+    most one process per CPU, whatever workers asks for; the outcome does
+    not depend on the worker count."""
     gen, _check = _suite(name)
     if samples < 0:
         raise ValidationError(f"samples must be >= 0, got {samples}")
@@ -556,7 +559,7 @@ def run_suite(
     payloads = gen(rng, samples, max_vertices)
     items = [(name, p) for p in payloads]
     if workers > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             outcomes = list(pool.map(_run_check, items, chunksize=8))
     else:
         outcomes = [_run_check(it) for it in items]

@@ -41,6 +41,23 @@ def minimal_nonfaces(vertices, faces) -> set:
     }
 
 
+def minimal_transversals(vertices, family) -> set:
+    """Subsets of the vertex set meeting every member of family none of
+    whose one-smaller subsets does, by full scan."""
+    vs = sorted(vertices)
+    fam = [frozenset(e) for e in family]
+
+    def hits(s):
+        return all(s & e for e in fam)
+
+    return {
+        frozenset(sub)
+        for r in range(len(vs) + 1)
+        for sub in itertools.combinations(vs, r)
+        if hits(frozenset(sub)) and not any(hits(frozenset(sub) - {v}) for v in sub)
+    }
+
+
 def facets_of(faces) -> set:
     fs = set(faces)
     return {f for f in fs if f and not any(f < g for g in fs)}

@@ -14,6 +14,7 @@ from hyperconn import (
     c_max_disjoint,
     d_complete,
     edge_distance,
+    find_decomposition_vertex,
     find_splitting_vertex,
     hypergraph_geq,
     is_irredundant,
@@ -231,6 +232,25 @@ class TestTriangulated:
         # d-complete on d+2 vertices has an irredundant 3-chain reusing a
         # vertex three times, so the occurrence condition fails
         assert not is_triangulated(d_complete(5, 3))
+
+    def test_matches_definition_on_random_3_uniform(self):
+        # every nonempty induced part has a decomposition vertex, checked
+        # subset by subset with no shortcut
+        rng = random.Random(60)
+        verdicts = set()
+        for _ in range(300):
+            n = rng.randint(3, 7)
+            p = rng.uniform(0.1, 0.6)
+            triples = itertools.combinations(range(1, n + 1), 3)
+            H = Hypergraph(range(1, n + 1), [e for e in triples if rng.random() < p])
+            literal = all(
+                find_decomposition_vertex(H.induced(A)) is not None
+                for r in range(1, n + 1)
+                for A in itertools.combinations(range(1, n + 1), r)
+            )
+            assert is_triangulated(H) == literal, H
+            verdicts.add(literal)
+        assert verdicts == {True, False}
 
     def test_constructed_families(self):
         rng = random.Random(54)

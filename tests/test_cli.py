@@ -226,6 +226,21 @@ class TestExitCodes:
         assert code == 3
         assert "resource" in err.lower() or "budget" in err.lower()
 
+    def test_deep_recursion_exits_3(self, capsys, tmp_path):
+        p = tmp_path / "p400.txt"
+        p.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 400)))
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 200)
+        try:
+            code, out, err = run(capsys, "psi", str(p))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 3 and out == ""
+        assert err == "resource limit: recursion depth exceeded\n"
+
     def test_verify_ok_exit(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "fixtures", "--seed", "1"

@@ -20,6 +20,7 @@ from hyperconn import (
     minimal_nonfaces,
     simplex_boundary,
 )
+from hyperconn.complexes import _minimal_transversals
 from hyperconn.fixtures import lutz_acyclic_complex
 from hyperconn.generators import random_hypergraph
 
@@ -74,6 +75,26 @@ class TestIndependenceComplex:
             ind = independence_complex(H)
             faces = oracles.independent_subsets(H.vertices, H.edges)
             assert ind.faces() == faces
+
+    def test_minimal_transversals_match_oracle(self):
+        # dense seeded families, comparable members and vertices in no
+        # member included, so a missed, repeated or non-minimal set shows
+        rng = random.Random(11)
+        pool = [([], []), ([1, 2], []), ([1, 2], [set()]), ([1, 2, 3], [{1}, set()])]
+        for _ in range(500):
+            ground = range(1, rng.randint(1, 8) + 1)
+            p = rng.uniform(0.2, 0.8)
+            family = [
+                {v for v in ground if rng.random() < p}
+                for _ in range(rng.randint(1, 8))
+            ]
+            pool.append((ground, [frozenset(e) for e in family if e]))
+        for ground, family in pool:
+            got = _minimal_transversals(frozenset(ground), family)
+            assert len(got) == len(set(got)), family
+            assert set(got) == oracles.minimal_transversals(ground, family), family
+        assert _minimal_transversals(frozenset(), []) == [frozenset()]
+        assert _minimal_transversals(frozenset({1}), [frozenset()]) == []
 
     def test_edgeless_gives_full_simplex(self):
         H = Hypergraph(range(1, 5), [])

@@ -21,6 +21,32 @@ class TestDeterminism:
         b = verify.run(seed=4, samples=8, max_vertices=6, suites=names, workers=3)
         assert a.to_json() == b.to_json()
 
+    @pytest.mark.parametrize("cpus, started", [(2, 2), (None, 1)])
+    def test_pool_size_is_clamped_to_cpus(self, monkeypatch, cpus, started):
+        sizes = []
+
+        class SerialPool:
+            """Records the requested pool size and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        args = dict(seed=4, samples=8, max_vertices=6)
+        many = verify.run_suite("structural", workers=10**6, **args)
+        assert sizes == [started]
+        assert many.to_dict() == verify.run_suite("structural", **args).to_dict()
+
     def test_seed_changes_instances(self):
         a = verify.run_suite("structural", seed=1, samples=8, max_vertices=6)
         b = verify.run_suite("structural", seed=2, samples=8, max_vertices=6)
