@@ -17,6 +17,7 @@ from .errors import (
     BudgetExceeded,
     CapacityExceeded,
     ComparableEdges,
+    DepthExceeded,
     EdgeNotPresent,
     EdgeOutsideVertexSet,
     EdgeTooSmall,
@@ -115,7 +116,7 @@ __all__ = [
     "NotASubset", "OverlappingVertexSets", "NotAFace", "NotUniform",
     "NotProperlyConnected", "NotSubfamily", "NotTriangulated",
     "ParseError", "UnknownFixture", "ResourceError", "BudgetExceeded",
-    "CapacityExceeded",
+    "CapacityExceeded", "DepthExceeded",
     # extended naturals
     "INF", "ExtNat", "ceil_half",
     # hypergraphs

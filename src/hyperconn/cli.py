@@ -77,10 +77,11 @@ def _cmd_homology(args) -> int:
 
 def _cmd_conn(args) -> int:
     H, _, _ = _load(args.file)
-    value = psi(H)
+    # the vertex cap is checked here, before the psi search can run long
+    delta = independence_complex(H)
     rows = [
-        ("conn_h", conn_h(independence_complex(H))),
-        ("psi", value),
+        ("conn_h", conn_h(delta)),
+        ("psi", psi(H)),
         ("k", k_bound(H)),
         ("epsilon", epsilon(H)),
         ("degree-bound", degree_bound(H)),

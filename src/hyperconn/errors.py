@@ -82,3 +82,7 @@ class BudgetExceeded(ResourceError):
 
 class CapacityExceeded(ResourceError):
     """An enumeration would exceed the configured size cap."""
+
+
+class DepthExceeded(ResourceError):
+    """Python's recursion limit was reached before the value was determined."""

@@ -26,6 +26,19 @@ value of its contraction residual, looked up in or added to the same table
 Stored bounds are window-independent facts, so entries can be reused by
 later queries at any window.
 
+Every state's edge masks form an antichain: the input Hypergraph rejects
+comparable edges, deleting an edge keeps an antichain, a contraction keeps
+only minimal sets and a component split takes subsets.  The residual C : F
+drops F and every vertex x with {x} = e - F for some edge e, and keeps as
+edges the minimal diffs e - F of size at least two.  Two consequences make
+it cost O(m t) for the t edges meeting F ("touched"), not O(m^2):
+
+* an untouched edge is its own diff, and the only diffs that can lie
+  inside it are touched diffs, so it survives exactly when it contains no
+  minimal touched diff (a singleton one included);
+* a touched diff e - F never contains an untouched edge u (u would lie
+  inside e), so minimality among the touched diffs alone decides it.
+
 Two value-preserving shortcuts, both provable from the recursion alone by
 induction (deletion and contraction commute with them edge by edge):
 
@@ -68,7 +81,9 @@ all-finite state settled by the probe.
 
 from __future__ import annotations
 
-from .errors import BudgetExceeded
+import functools
+
+from .errors import BudgetExceeded, DepthExceeded
 from .extnat import INF, ExtNat
 from .hypergraph import Hypergraph
 from .limits import psi_budget
@@ -108,6 +123,20 @@ def _component_mask(edges: tuple) -> int:
     return comp
 
 
+def _depth_guarded(method):
+    """Report Python's recursion limit as a resource cutoff.  The table
+    holds only proven bounds, so it stays valid for later queries."""
+
+    @functools.wraps(method)
+    def guarded(self, C: Hypergraph):
+        try:
+            return method(self, C)
+        except RecursionError:
+            raise DepthExceeded("recursion depth exceeded") from None
+
+    return guarded
+
+
 class PsiSolver:
     """Exact psi evaluation over bitmask states with a shared window table."""
 
@@ -124,10 +153,12 @@ class PsiSolver:
         # (vertex mask, edge mask tuple) -> [lo, hi]
         self.table: dict[tuple, list] = {}
 
+    @_depth_guarded
     def value(self, C: Hypergraph) -> ExtNat:
         vmask, edges, _fmasks = _encode(C)
         return self._val(vmask, edges)
 
+    @_depth_guarded
     def argmax_edge(self, C: Hypergraph):
         """First edge in canonical order attaining the outer max, or None
         at a base case."""
@@ -184,26 +215,32 @@ class PsiSolver:
         """psi of the contraction residual by the i-th edge."""
         f = edges[i]
         nf = ~f
-        diffs = {e & nf for e in edges}
-        diffs.discard(0)
         singles = 0
         minimal = []
-        cedges = []
-        # ascending popcount: only a strictly smaller set can dominate
-        for d in sorted(diffs, key=int.bit_count):
+        # only the diffs of edges meeting f need the minimality scan (see
+        # the module docstring); ascending popcount, since only a strictly
+        # smaller set can dominate; f's own diff is 0, first and a no-op
+        for d in sorted([e & nf for e in edges if e & f], key=int.bit_count):
+            if d & singles:
+                continue
             for s in minimal:
                 if s & d == s:
                     break
             else:
-                minimal.append(d)
                 if d & (d - 1):
-                    cedges.append(d)
+                    minimal.append(d)
                 else:
                     singles |= d
+        hit = f | singles
+        cedges = [e for e in edges if not e & hit]
+        if minimal:
+            cedges = [e for e in cedges if all(s & e != s for s in minimal)]
+            cedges += minimal
+            cedges.sort()
         vp = vmask & nf & ~singles
         # a minimal diff of size >= 2 cannot meet F or a neighbor vertex
         assert all(d & ~vp == 0 for d in cedges)
-        return self._val(vp, tuple(sorted(cedges)))
+        return self._val(vp, tuple(cedges))
 
     def _value_descent(self, vmask: int, edges: tuple) -> ExtNat:
         """Exact value by preserving deletions; see the module docstring

@@ -83,6 +83,17 @@ class TestConn:
         for key in ("conn_h", "psi", "k", "epsilon", "degree-bound"):
             assert key in out
 
+    def test_vertex_cap_checked_before_psi(self, capsys, tmp_path, monkeypatch):
+        def no_psi(*args, **kwargs):
+            raise AssertionError("psi ran before the vertex cap check")
+
+        monkeypatch.setattr("hyperconn.cli.psi", no_psi)
+        p = tmp_path / "c60.txt"
+        p.write_text("".join(f"{i} {i % 60 + 1}\n" for i in range(1, 61)))
+        code, out, err = run(capsys, "conn", str(p))
+        assert code == 3 and out == ""
+        assert err == "resource limit: 60 vertices exceeds the enumeration cap\n"
+
 
 class TestDistance:
     def test_adjacent(self, capsys, c4_file):

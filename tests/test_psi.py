@@ -3,12 +3,14 @@ structural laws, and resource limits."""
 
 import gc
 import random
+import sys
 import weakref
 
 import pytest
 
 from hyperconn import (
     BudgetExceeded,
+    DepthExceeded,
     Hypergraph,
     INF,
     PsiSolver,
@@ -21,6 +23,7 @@ from hyperconn import (
 )
 from hyperconn.fixtures import cycle_hypergraph, path_hypergraph
 from hyperconn.generators import random_hypergraph
+from hyperconn.psi import _encode
 
 
 def small_pool(seed, count, max_vertices=7, max_edges=5):
@@ -79,6 +82,68 @@ class TestPinnedValues:
     def test_two_solvers_large(self, H, expect):
         assert psi(H) == expect
         assert psi(H, cap_preservation=True) == expect
+
+
+class TestClosedForms:
+    def test_cycles(self):
+        for n in range(3, 25):
+            assert psi(cycle_hypergraph(n)) == -(-(n - 1) // 3), n
+
+    def test_paths(self):
+        for n in range(2, 34):
+            assert psi(path_hypergraph(n)) == (INF if n % 3 == 1 else -(-n // 3)), n
+
+
+class ResidualRecorder(PsiSolver):
+    """Records the state each contraction hands on instead of solving it."""
+
+    def __init__(self):
+        super().__init__()
+        self.passed = []
+
+    def _val(self, vmask, edges):
+        self.passed.append((vmask, edges))
+        return 0
+
+
+def random_antichain(rng):
+    n = rng.randint(4, 10)
+    edges = []
+    for _ in range(rng.randint(1, 12)):
+        e = frozenset(rng.sample(range(n), rng.randint(2, min(5, n))))
+        if all(not (e <= g or g <= e) for g in edges):
+            edges.append(e)
+    return Hypergraph(range(n), edges)
+
+
+class TestContractionKernel:
+    @staticmethod
+    def check(H):
+        # the oracle: Hypergraph.contract, in H's bit positions
+        index = {v: i for i, v in enumerate(sorted(H.vertices))}
+
+        def mask(vs):
+            return sum(1 << index[v] for v in vs)
+
+        vmask, edges, _ = _encode(H)
+        for i, f in enumerate(edges):
+            F = frozenset(v for v, b in index.items() if f >> b & 1)
+            K = H.contract(F)
+            rec = ResidualRecorder()
+            rec._contract_value(vmask, edges, i)
+            assert rec.passed == [(mask(K.vertices), tuple(sorted(mask(e) for e in K.edges)))]
+
+    def test_matches_contract_on_random_antichains(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            self.check(random_antichain(rng))
+
+    def test_knocked_out_untouched_edge(self):
+        # {3, 4} = {1, 3, 4} - F lies inside the untouched edge {3, 4, 5}
+        H = Hypergraph(range(1, 6), [{1, 2}, {1, 3, 4}, {3, 4, 5}])
+        K = H.contract({1, 2})
+        assert K.vertices == {3, 4, 5} and K.edges == (frozenset({3, 4}),)
+        self.check(H)
 
 
 class TestSolverAgreement:
@@ -166,6 +231,23 @@ class TestResources:
         monkeypatch.setenv("HYPERCONN_PSI_BUDGET", "2")
         with pytest.raises(BudgetExceeded):
             psi(d_complete(6, 2))
+
+    def test_deep_recursion_raises_resource_error(self):
+        H = path_hypergraph(400)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        s = PsiSolver()
+        sys.setrecursionlimit(depth + 200)
+        try:
+            for query in (s.value, s.argmax_edge):
+                with pytest.raises(DepthExceeded, match="^recursion depth exceeded$"):
+                    query(H)
+        finally:
+            sys.setrecursionlimit(limit)
+        # the table keeps only proven bounds, so the solver stays usable
+        assert psi(H, solver=s) == INF
 
 
 class TestDegreeBound:
