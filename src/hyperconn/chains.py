@@ -19,7 +19,11 @@ every two intersecting edges F, G satisfy dist(F, G) = d - |F & G|; a
 vertex v is a decomposition vertex when its neighborhood induces a
 d-complete hypergraph and v lies in at most two edges of any proper
 irredundant chain; a hypergraph is triangulated when every nonempty
-induced subhypergraph has a decomposition vertex.
+induced subhypergraph has a decomposition vertex.  Recognition does not
+search each induced part: a decomposition vertex stays one in every induced
+part that keeps it, so is_triangulated removes one decomposition vertex per
+level, as perfect elimination does for chordal graphs, memoized on the
+vertex set.
 
 Every search over proper chains runs through one depth-first walk,
 _walk, which extends a chain edge by edge in canonical edge and pivot
@@ -307,17 +311,29 @@ def _chain_occurrences_ok(C: Hypergraph, v: int) -> bool:
 
     Every prefix of a proper chain is a proper chain, so the search tests
     each prefix whose count exceeds two and keeps extending either way.
+    The count of edges holding v is kept per depth along the walk, and
+    other pivots reach the same edge sequence again, so each sequence
+    found redundant is remembered while the walk stays at its first edge.
     """
     if C.degree(v) <= 2:
         return True
+    counts = [0] * (len(C.edges) + 1)  # counts[k]: edges of seq[:k] holding v
+    redundant: set = set()
 
     def violates(seq: list, pivots: list) -> bool | None:
-        if sum(1 for e in seq if v in e) > 2 and not _redundant(seq):
-            return True
+        k = len(seq)
+        counts[k] = counts[k - 1] + (v in seq[-1])
+        if counts[k] > 2:
+            key = tuple(seq)
+            if key not in redundant:
+                if not _redundant(seq):
+                    return True
+                redundant.add(key)
         return None
 
     cap = len(C.edges) - 1
     for start in C.edges:
+        redundant.clear()  # every sequence of this walk begins with start
         if _walk(C.edges, [start], [], set(), cap, violates):
             return False
     return True
@@ -330,37 +346,83 @@ def _neighborhood_complete(C: Hypergraph, v: int, d: int) -> bool:
     return all(C.has_edge(frozenset(s)) for s in combinations(sorted(nbrs), d))
 
 
+def _is_decomposition_vertex(C: Hypergraph, v: int, d: int) -> bool:
+    """Whether v is a decomposition vertex of C, which has edges of size d.
+
+    For graphs (d = 2) the chain condition holds automatically: a third
+    edge membership always yields a proper subsequence chain shortcut, so
+    the irredundant chains never show one.
+    """
+    return _neighborhood_complete(C, v, d) and (d == 2 or _chain_occurrences_ok(C, v))
+
+
 def find_decomposition_vertex(C: Hypergraph) -> int | None:
     """Smallest vertex whose neighborhood induces a d-complete hypergraph
     and which sits in at most two edges of every proper irredundant chain.
 
-    For graphs (d = 2) the chain condition holds automatically: a third
-    edge membership always yields a proper subsequence chain shortcut, so
-    the irredundant chains never show one.  A decomposition vertex of a
-    graph is then exactly a simplicial vertex.  Raises NotUniform on mixed
-    edge sizes; every vertex qualifies in an edgeless hypergraph.
+    A decomposition vertex of a graph is exactly a simplicial vertex.
+    Raises NotUniform on mixed edge sizes; every vertex qualifies in an
+    edgeless hypergraph.
     """
     d = C.uniform_size()
     if d is None and C.edges:
         raise NotUniform("decomposition vertices need a d-uniform hypergraph")
     for v in sorted(C.vertices):
-        if not C.edges:
-            return v
-        if not _neighborhood_complete(C, v, d):
-            continue
-        if d == 2 or _chain_occurrences_ok(C, v):
+        if not C.edges or _is_decomposition_vertex(C, v, d):
             return v
     return None
+
+
+def _triangulated_part(C: Hypergraph, d: int, A: frozenset, memo: dict) -> bool:
+    """Whether C[A] is triangulated, by is_triangulated's elimination;
+    memo maps every vertex set decided so far to its verdict."""
+    if A in memo:
+        return memo[A]
+    sub = C.induced(A)
+    isolated = sub.isolated_vertices()
+    if not sub.edges:
+        ok = True
+    elif isolated:
+        ok = _triangulated_part(C, d, A - isolated, memo)
+    else:
+        ok = False
+        for v in sorted(A):
+            if not _neighborhood_complete(sub, v, d):
+                continue
+            if not _triangulated_part(C, d, A - {v}, memo):
+                break
+            if _is_decomposition_vertex(sub, v, d):
+                ok = True
+                break
+    memo[A] = ok
+    return ok
 
 
 def is_triangulated(C: Hypergraph) -> bool:
     """Every nonempty induced subhypergraph has a decomposition vertex.
 
-    Exponential in the vertex count; raises CapacityExceeded above the cap
-    (default 16, set by HYPERCONN_TRIANGULATED_CAP).  A subhypergraph with
-    a vertex in no edge passes immediately, since that vertex qualifies.
-    Nothing is memoized: any other vertex set is the union of its induced
-    edges, so no two of them share an induced edge set.
+    Decided by eliminating one decomposition vertex per level, memoized
+    on the vertex set A of the induced part C[A].  It rests on a lemma:
+
+    (i) A decomposition vertex v of C[A] is one of C[B] for every B with
+        v in B and B inside A.  Chains of C[B] are chains of C[A], and
+        irredundance depends only on a chain's own edges, so v still lies
+        in at most two edges of each irredundant one.  The neighborhood
+        of v in C[B] lies inside its neighborhood in C[A], so every
+        d-subset of it is an edge of C[A] inside B, hence of C[B].
+    (ii) Induced parts of C[A - v] are induced parts of C[A], so if
+        C[A - v] is not triangulated for some v, neither is C[A].  If v is
+        a decomposition vertex of C[A], then C[A] is triangulated exactly
+        when C[A - v] is, since by (i) every induced part containing v
+        has v as a decomposition vertex.
+
+    An edgeless part is triangulated and its isolated vertices qualify, so
+    they are dropped at once.  Otherwise each vertex with a d-complete
+    neighborhood, in sorted order, first has C[A - v] decided and then
+    its chain condition tested; the first that passes settles C[A].
+    Exponential in the vertex count in the worst case; raises
+    CapacityExceeded above the cap (default 16, set by
+    HYPERCONN_TRIANGULATED_CAP).
     """
     d = C.uniform_size()
     if d is None and C.edges:
@@ -368,12 +430,7 @@ def is_triangulated(C: Hypergraph) -> bool:
     n = C.order
     if n > triangulated_cap():
         raise CapacityExceeded(f"{n} vertices exceeds the triangulated check cap")
-    verts = sorted(C.vertices)
-    for mask in range(1, 1 << n):
-        sub = C.induced(verts[i] for i in range(n) if mask >> i & 1)
-        if not sub.isolated_vertices() and find_decomposition_vertex(sub) is None:
-            return False
-    return True
+    return _triangulated_part(C, d, C.vertices, {})
 
 
 def hypergraph_geq(C: Hypergraph, F) -> Hypergraph:

@@ -24,7 +24,7 @@ from hyperconn import (
     is_triangulated,
     shortest_chain,
 )
-from hyperconn.chains import _chain_occurrences_ok, _redundant
+from hyperconn.chains import _chain_occurrences_ok, _is_decomposition_vertex, _redundant
 from hyperconn.fixtures import cycle_hypergraph, path_hypergraph
 from hyperconn.generators import (
     all_graphs,
@@ -233,9 +233,17 @@ class TestTriangulated:
         # vertex three times, so the occurrence condition fails
         assert not is_triangulated(d_complete(5, 3))
 
-    def test_matches_definition_on_random_3_uniform(self):
+    @staticmethod
+    def by_definition(H):
         # every nonempty induced part has a decomposition vertex, checked
         # subset by subset with no shortcut
+        return all(
+            find_decomposition_vertex(H.induced(A)) is not None
+            for r in range(1, H.order + 1)
+            for A in itertools.combinations(sorted(H.vertices), r)
+        )
+
+    def test_matches_definition_on_random_3_uniform(self):
         rng = random.Random(60)
         verdicts = set()
         for _ in range(300):
@@ -243,14 +251,50 @@ class TestTriangulated:
             p = rng.uniform(0.1, 0.6)
             triples = itertools.combinations(range(1, n + 1), 3)
             H = Hypergraph(range(1, n + 1), [e for e in triples if rng.random() < p])
-            literal = all(
-                find_decomposition_vertex(H.induced(A)) is not None
-                for r in range(1, n + 1)
-                for A in itertools.combinations(range(1, n + 1), r)
-            )
+            literal = self.by_definition(H)
             assert is_triangulated(H) == literal, H
             verdicts.add(literal)
         assert verdicts == {True, False}
+
+    def test_matches_definition_on_random_4_uniform(self):
+        rng = random.Random(63)
+        verdicts = set()
+        for _ in range(200):
+            n = rng.randint(4, 7)
+            p = rng.uniform(0.1, 0.6)
+            quads = itertools.combinations(range(1, n + 1), 4)
+            H = Hypergraph(range(1, n + 1), [e for e in quads if rng.random() < p])
+            literal = self.by_definition(H)
+            assert is_triangulated(H) == literal, H
+            verdicts.add(literal)
+        assert verdicts == {True, False}
+
+    def test_decomposition_vertices_are_hereditary(self):
+        # the lemma is_triangulated eliminates by: a decomposition vertex
+        # of C stays one in every induced part that keeps it; unchecked
+        # growth-model draws with one extra triple give decomposition
+        # vertices of degree three and more, which random triples rarely do
+        rng = random.Random(64)
+        chain_tested = 0
+        for _ in range(25):
+            G = random_triangulated_uniform(rng, 3, rng.randint(4, 7), verify=False)
+            extra = frozenset(rng.sample(sorted(G.vertices), 3))
+            H = Hypergraph(G.vertices, set(G.edges) | {extra})
+            for v in sorted(H.vertices):
+                if not _is_decomposition_vertex(H, v, 3):
+                    continue
+                rest = sorted(H.vertices - {v})
+                for r in range(len(rest) + 1):
+                    for B in itertools.combinations(rest, r):
+                        sub = H.induced({v, *B})
+                        assert _is_decomposition_vertex(sub, v, 3), (H, v, B)
+                        chain_tested += sub.degree(v) > 2
+        assert chain_tested > 0
+
+    def test_four_uniform_growth_instance(self):
+        H = random_triangulated_uniform(random.Random(4001), 4, 7)
+        assert H.uniform_size() == 4
+        assert is_properly_connected(H) and is_triangulated(H)
 
     def test_constructed_families(self):
         rng = random.Random(54)
@@ -273,6 +317,16 @@ class TestTriangulated:
                 assert _chain_occurrences_ok(H, v) == ok, (H, v)
                 seen.add(ok)
         assert seen == {True, False}
+        # each carries an irredundant chain, three edges holding v, whose
+        # prefix without its last edge is redundant: remembering redundant
+        # prefixes in place of whole sequences would pass these
+        for edges, v in (
+            ([(1, 2, 3), (1, 3, 6), (1, 4, 6), (1, 5, 6), (3, 4, 6)], 6),
+            ([(1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 4), (2, 4, 5)], 3),
+        ):
+            H = Hypergraph(range(1, 7), edges)
+            assert oracles.max_irredundant_occurrences(H.edges, v) == 3
+            assert not _chain_occurrences_ok(H, v)
 
 
 class TestSplitting:
