@@ -3,8 +3,10 @@
 The text format is one edge per line with an optional vertex header for
 isolated vertices.  Labels may be arbitrary strings: integer labels written
 in canonical form (7, not 07) keep their values as vertex ids, and any
-other label set gets ids 1, 2, ... in sorted label order.  The JSON format
-mirrors the same document and both round-trip exactly.
+other label set gets ids 1, 2, ... in the order the document lists its
+labels (integer-like ones numerically, then the rest), so ids and labels
+sort alike.  The JSON format mirrors the same document and both
+round-trip exactly.
 """
 
 from hyperconn import (

@@ -269,20 +269,19 @@ def c_max_disjoint(C: Hypergraph) -> int:
             if shortest_chain(C, C.edges[i], C.edges[j], max_length=d) is not None:
                 conflict[i].add(j)
                 conflict[j].add(i)
-    best = [0]
+    return _grow(conflict, 0, list(range(m)), 0)
 
-    def grow(chosen: int, cand: list) -> None:
-        if chosen + len(cand) <= best[0]:
-            return
-        if not cand:
-            best[0] = max(best[0], chosen)
-            return
-        v = cand[0]
-        grow(chosen + 1, [u for u in cand[1:] if u not in conflict[v]])
-        grow(chosen, cand[1:])
 
-    grow(0, list(range(m)))
-    return best[0]
+def _grow(conflict: list, chosen: int, cand: list, best: int) -> int:
+    """The larger of best and chosen plus a largest independent subset of
+    cand in the conflict graph, branching on cand[0] in, then out."""
+    if chosen + len(cand) <= best:
+        return best
+    if not cand:
+        return chosen
+    v, rest = cand[0], cand[1:]
+    best = _grow(conflict, chosen + 1, [u for u in rest if u not in conflict[v]], best)
+    return _grow(conflict, chosen, rest, best)
 
 
 def find_splitting_vertex(C: Hypergraph, F) -> int | None:

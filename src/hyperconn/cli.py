@@ -23,7 +23,6 @@ from .errors import EdgeNotPresent, ParseError, ResourceError, ValidationError
 from .extnat import fmt
 from .fixtures import FIXTURE_NAMES, fixture
 from .formats import (
-    _label_key,
     complex_to_document,
     emit_json,
     emit_text,
@@ -54,7 +53,7 @@ def _load(path: str, as_complex: bool = False):
 
 
 def _fmt_edge(edge, inverse) -> str:
-    return "{" + " ".join(sorted((inverse[v] for v in edge), key=_label_key)) + "}"
+    return "{" + " ".join(inverse[v] for v in sorted(edge)) + "}"
 
 
 def _cmd_psi(args) -> int:
@@ -91,7 +90,7 @@ def _cmd_conn(args) -> int:
     return EXIT_OK
 
 
-def _parse_edge(spec: str, H, mapping) -> frozenset:
+def _parse_edge(spec: str, H, mapping, inverse) -> frozenset:
     """The edge of H named by comma- or space-separated labels."""
     labels = [p for p in spec.replace(",", " ").split() if p]
     missing = [p for p in labels if p not in mapping]
@@ -99,15 +98,14 @@ def _parse_edge(spec: str, H, mapping) -> frozenset:
         raise ParseError(f"unknown vertex label(s): {' '.join(missing)}")
     F = frozenset(mapping[p] for p in labels)
     if not H.has_edge(F):
-        named = " ".join(sorted(set(labels), key=_label_key))
-        raise EdgeNotPresent(f"{{{named}}} is not an edge")
+        raise EdgeNotPresent(f"{_fmt_edge(F, inverse)} is not an edge")
     return F
 
 
 def _cmd_distance(args) -> int:
     H, mapping, inverse = _load(args.file)
-    F = _parse_edge(args.edge_a, H, mapping)
-    G = _parse_edge(args.edge_b, H, mapping)
+    F = _parse_edge(args.edge_a, H, mapping, inverse)
+    G = _parse_edge(args.edge_b, H, mapping, inverse)
     chain = shortest_chain(H, F, G)
     if chain is None:
         print("distance = inf")
@@ -137,7 +135,7 @@ def _cmd_check(args) -> int:
             print("properly-splitted: yes")
             print(" ".join(["edge sequence:", *seq]))
     else:
-        z = find_splitting_vertex(H, _parse_edge(args.splitting_edge, H, mapping))
+        z = find_splitting_vertex(H, _parse_edge(args.splitting_edge, H, mapping, inverse))
         if z is not None:
             print("splitting-edge: yes")
             print(f"splitting vertex: {inverse[z]}")

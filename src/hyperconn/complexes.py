@@ -137,22 +137,24 @@ def _minimal_transversals(ground, family) -> list:
     if len(ground) > vertex_cap():
         raise CapacityExceeded(f"{len(ground)} vertices exceeds the enumeration cap")
     transversals = []
-
-    def extend(chosen: frozenset, missed: list, cand: set) -> None:
-        if not missed:
-            transversals.append(chosen)
-            return
-        F = min(missed, key=lambda e: len(e & cand))
-        branch = sorted(F & cand)
-        cand -= F
-        for v in branch:
-            t = chosen | {v}
-            if all(any(e & t == {u} for e in family) for u in chosen):
-                extend(t, [e for e in missed if v not in e], cand)
-            cand.add(v)
-
-    extend(frozenset(), list(family), set(ground))
+    _mmcs(family, frozenset(), list(family), set(ground), transversals)
     return transversals
+
+
+def _mmcs(family, chosen: frozenset, missed: list, cand: set, out: list) -> None:
+    """One MMCS step: append to out every minimal transversal of family that
+    holds chosen and otherwise only vertices of cand."""
+    if not missed:
+        out.append(chosen)
+        return
+    F = min(missed, key=lambda e: len(e & cand))
+    branch = sorted(F & cand)
+    cand -= F
+    for v in branch:
+        t = chosen | {v}
+        if all(any(e & t == {u} for e in family) for u in chosen):
+            _mmcs(family, t, [e for e in missed if v not in e], cand, out)
+        cand.add(v)
 
 
 def independence_complex(C: Hypergraph) -> SimplicialComplex:

@@ -40,10 +40,7 @@ def sp_tilde(delta: SimplicialComplex, A) -> frozenset:
         raise NotASubset(f"{sorted(A)} is not a subset of the vertex set")
     verts, faces = _sp_masks(delta)
     amask = sum(1 << i for i, v in enumerate(verts) if v in A)
-    sp = 0
-    for smask, kmask in faces:
-        if smask & ~amask == 0:
-            sp |= kmask
+    sp = _killed(faces, amask, (1 << len(verts)) - 1)
     return frozenset(v for i, v in enumerate(verts) if sp >> i & 1)
 
 
@@ -68,6 +65,17 @@ def _sp_masks(delta: SimplicialComplex) -> tuple:
     return verts, faces
 
 
+def _killed(faces: list, amask: int, full: int) -> int:
+    """OR of the kill masks of the faces inside amask, stopping at full."""
+    sp = 0
+    for smask, kmask in faces:
+        if smask & ~amask == 0:
+            sp |= kmask
+            if sp == full:
+                break
+    return sp
+
+
 def gamma_tilde_witness(delta: SimplicialComplex) -> tuple[ExtNat, frozenset | None]:
     """(gamma_tilde, a smallest dominating set or None when none exists).
 
@@ -83,13 +91,7 @@ def gamma_tilde_witness(delta: SimplicialComplex) -> tuple[ExtNat, frozenset | N
             amask = 0
             for i in combo:
                 amask |= 1 << i
-            sp = 0
-            for smask, kmask in faces:
-                if smask & ~amask == 0:
-                    sp |= kmask
-                    if sp == full:
-                        break
-            if sp == full:
+            if _killed(faces, amask, full) == full:
                 return (size, frozenset(verts[i] for i in combo))
     return (INF, None)
 

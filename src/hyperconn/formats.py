@@ -12,8 +12,9 @@ the way Python prints it (``str(int(x)) == x``: no sign but "-", no
 leading zeros, no underscores) the in-memory hypergraph uses those
 integers as vertex ids, so documents written by hand with numeric labels
 round-trip through results without a translation table; otherwise ids are
-assigned densely in sorted label order, so distinct labels never share an
-id.  The mapping is returned alongside.
+1, 2, ... along the document's labels.  Either way ids increase in the one
+order documents print labels in, so sorting ids sorts labels.  The mapping
+is returned alongside.
 """
 
 from __future__ import annotations
@@ -170,10 +171,9 @@ def emit_json(doc: HypergraphDocument) -> str:
 
 def _label_ids(doc: HypergraphDocument) -> tuple[dict, list]:
     """The label -> id mapping of a document and its edges as id sets."""
-    if all(_is_int_label(x) and str(int(x)) == x for x in doc.vertices):
-        mapping = {x: int(x) for x in doc.vertices}
-    else:
-        mapping = {x: i for i, x in enumerate(sorted(doc.vertices), start=1)}
+    canonical = all(_is_int_label(x) and str(int(x)) == x for x in doc.vertices)
+    ids = map(int, doc.vertices) if canonical else range(1, len(doc.vertices) + 1)
+    mapping = dict(zip(doc.vertices, ids))
     return mapping, [frozenset(mapping[x] for x in e) for e in doc.edges]
 
 

@@ -112,35 +112,36 @@ def homotopy_type_triangulated(C: Hypergraph) -> HomotopyType:
     Preconditions are checked lazily: each recursion step must find a
     decomposition vertex, else NotTriangulated.
     """
-    memo: dict = {}
+    return _homotopy_type(C, {})
 
-    def rec(H: Hypergraph) -> HomotopyType:
-        got = memo.get(H)
-        if got is not None:
-            return got
-        if not H.vertices:
-            t = HomotopyType.wedge((-1,))
-        elif not H.edges:
-            t = HomotopyType.contractible()
-        else:
-            d = H.uniform_size()
-            if d is None:
-                raise NotUniform("homotopy synthesis needs a d-uniform hypergraph")
-            v = find_decomposition_vertex(H)
-            if v is None:
-                raise NotTriangulated(f"no decomposition vertex in {H!r}")
-            dims: list = []
-            for I in d_set(H, v):
-                assert len(I) == d - 1, "independent set size must be d - 1"
-                sub = rec(H.contract(I | {v}))
-                if sub.is_contractible:
-                    continue
-                dims.extend(s + len(I) for s in sub.spheres)
-            t = HomotopyType.wedge(dims)
-        memo[H] = t
-        return t
 
-    return rec(C)
+def _homotopy_type(H: Hypergraph, memo: dict) -> HomotopyType:
+    """homotopy_type_triangulated of H; memo maps each hypergraph reached
+    so far to its type."""
+    got = memo.get(H)
+    if got is not None:
+        return got
+    if not H.vertices:
+        t = HomotopyType.wedge((-1,))
+    elif not H.edges:
+        t = HomotopyType.contractible()
+    else:
+        d = H.uniform_size()
+        if d is None:
+            raise NotUniform("homotopy synthesis needs a d-uniform hypergraph")
+        v = find_decomposition_vertex(H)
+        if v is None:
+            raise NotTriangulated(f"no decomposition vertex in {H!r}")
+        dims: list = []
+        for I in d_set(H, v):
+            assert len(I) == d - 1, "independent set size must be d - 1"
+            sub = _homotopy_type(H.contract(I | {v}), memo)
+            if sub.is_contractible:
+                continue
+            dims.extend(s + len(I) for s in sub.spheres)
+        t = HomotopyType.wedge(dims)
+    memo[H] = t
+    return t
 
 
 def max_dimension_bound(C: Hypergraph) -> int:
@@ -169,51 +170,48 @@ class SplitWitness:
         return out
 
 
-def _properly_splitted(C: Hypergraph) -> tuple:
-    memo: dict = {}
-    conn_memo: dict = {}
+def _conn(H: Hypergraph, conn_memo: dict) -> ExtNat:
+    got = conn_memo.get(H)
+    if got is None:
+        got = conn_memo[H] = conn_h(independence_complex(H))
+    return got
 
-    def ch(H: Hypergraph) -> ExtNat:
-        got = conn_memo.get(H)
-        if got is None:
-            got = conn_memo[H] = conn_h(independence_complex(H))
+
+def _properly_splitted(H: Hypergraph, memo: dict, conn_memo: dict) -> tuple:
+    """(verdict, witness) for H; memo holds the pairs and conn_memo the
+    homological connectivities found so far."""
+    got = memo.get(H)
+    if got is not None:
         return got
-
-    def rec(H: Hypergraph) -> tuple:
-        got = memo.get(H)
-        if got is not None:
-            return got
-        if not H.edges:
-            out = (True, None)
-        else:
-            out = (False, None)
-            target = ch(H)
-            for F in H.edges:
-                cf = H.contract(F)
-                if ch(cf) < target - len(F) + 1:
-                    continue
-                ok_d, w_d = rec(H.delete_edge(F))
-                if not ok_d:
-                    continue
-                ok_c, w_c = rec(cf)
-                if ok_c:
-                    out = (True, SplitWitness(F, w_d, w_c))
-                    break
-        memo[H] = out
-        return out
-
-    return rec(C)
+    if not H.edges:
+        out = (True, None)
+    else:
+        out = (False, None)
+        target = _conn(H, conn_memo)
+        for F in H.edges:
+            cf = H.contract(F)
+            if _conn(cf, conn_memo) < target - len(F) + 1:
+                continue
+            ok_d, w_d = _properly_splitted(H.delete_edge(F), memo, conn_memo)
+            if not ok_d:
+                continue
+            ok_c, w_c = _properly_splitted(cf, memo, conn_memo)
+            if ok_c:
+                out = (True, SplitWitness(F, w_d, w_c))
+                break
+    memo[H] = out
+    return out
 
 
 def is_properly_splitted(C: Hypergraph) -> bool:
     """Edgeless, or some edge F has a contraction losing at most |F| - 1
     connectivity while both branches are again properly splitted."""
-    return _properly_splitted(C)[0]
+    return _properly_splitted(C, {}, {})[0]
 
 
 def properly_splitted_witness(C: Hypergraph) -> SplitWitness | None:
     """The edge-choice tree behind a positive answer, None otherwise."""
-    return _properly_splitted(C)[1]
+    return _properly_splitted(C, {}, {})[1]
 
 
 def build_counterexample_family(k: int) -> Hypergraph:

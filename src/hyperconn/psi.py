@@ -362,25 +362,25 @@ def psi_witness(
 
 def psi_naive(C: Hypergraph) -> ExtNat:
     """Plain unmemoized recursion; the oracle the solver is tested against."""
-    limit = psi_budget()
-    count = [0]
+    return _naive(C, [0], psi_budget())
 
-    def rec(H: Hypergraph) -> ExtNat:
-        count[0] += 1
-        if count[0] > limit:
-            raise BudgetExceeded(f"psi_naive node budget {limit} exhausted")
-        if not H.vertices:
-            return 0
-        if not H.edges:
-            return INF
-        best: ExtNat = -1
-        for F in H.edges:
-            m = min(rec(H.delete_edge(F)), rec(H.contract(F)) + len(F) - 1)
-            if m > best:
-                best = m
-        return best
 
-    return rec(C)
+def _naive(H: Hypergraph, count: list, limit: int) -> ExtNat:
+    """psi_naive of H; count[0] holds the nodes visited so far."""
+    count[0] += 1
+    if count[0] > limit:
+        raise BudgetExceeded(f"psi_naive node budget {limit} exhausted")
+    if not H.vertices:
+        return 0
+    if not H.edges:
+        return INF
+    best: ExtNat = -1
+    for F in H.edges:
+        deleted = _naive(H.delete_edge(F), count, limit)
+        m = min(deleted, _naive(H.contract(F), count, limit) + len(F) - 1)
+        if m > best:
+            best = m
+    return best
 
 
 def degree_bound(C: Hypergraph) -> ExtNat:

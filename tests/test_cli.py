@@ -61,6 +61,14 @@ class TestLabels:
         assert code == 0
         assert out.splitlines()[0] == f"psi = {value}"
 
+    def test_witness_is_first_in_document_order(self, capsys, tmp_path):
+        # the document lists 9 before 10, so its first argmax edge is {9 a}
+        p = tmp_path / "h.txt"
+        p.write_text("9 a\n10 b\n")
+        code, out, _ = run(capsys, "psi", str(p))
+        assert code == 0
+        assert out == "psi = 2\nargmax edge: {9 a}\n"
+
 
 class TestHomology:
     def test_independence_table(self, capsys, c4_file):

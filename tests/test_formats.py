@@ -144,11 +144,40 @@ class TestMapping:
         [("1 2\n01 3\n", 4), ("1 2\n1_0 3\n10 4\n", 6), ("+1 2\n1 3\n", 4)],
     )
     def test_integer_spellings_stay_distinct(self, text, order):
-        H, mapping = document_to_hypergraph(parse_text(text))
+        doc = parse_text(text)
+        H, mapping = document_to_hypergraph(doc)
         assert H.order == order and len(set(mapping.values())) == order
-        assert mapping == {x: i for i, x in enumerate(sorted(mapping), start=1)}
+        assert mapping == {x: i for i, x in enumerate(doc.vertices, start=1)}
         delta, _ = document_to_complex(parse_text(text))
         assert len(delta.vertices) == order
+
+    @pytest.mark.parametrize(
+        "labels, integer_ids",
+        [
+            (st.integers(-30, 30).map(str), True),
+            (st.sampled_from(["01", "007", "1_0", "+1", "-0", "+10", "2_0"]), False),
+            (st.text("abxyz_", min_size=1, max_size=3), False),
+            (
+                st.one_of(
+                    st.integers(-30, 30).map(str),
+                    st.sampled_from(["01", "1_0", "+1", "-0"]),
+                    st.text("ab9_", min_size=1, max_size=3),
+                ),
+                False,
+            ),
+        ],
+        ids=["canonical", "spellings", "symbolic", "mixed"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_ids_follow_document_order(self, labels, integer_ids, data):
+        # sorting ids must sort labels the way documents print them
+        doc = HypergraphDocument("", tuple(data.draw(st.sets(labels, max_size=8))), ())
+        for _, mapping in (document_to_hypergraph(doc), document_to_complex(doc)):
+            ids = [mapping[x] for x in doc.vertices]
+            assert all(a < b for a, b in zip(ids, ids[1:]))
+            if integer_ids:
+                assert ids == [int(x) for x in doc.vertices]
 
     def test_symbolic_labels_densified(self):
         H, mapping = document_to_hypergraph(parse_text("a b\nb c\n"))

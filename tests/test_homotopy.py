@@ -1,5 +1,6 @@
 """Recursive wedge decompositions and the gap family."""
 
+import gc
 import random
 
 import pytest
@@ -8,7 +9,9 @@ from hyperconn import (
     Hypergraph,
     INF,
     NotTriangulated,
+    PsiSolver,
     build_counterexample_family,
+    c_max_disjoint,
     conn_h,
     d_complete,
     d_set,
@@ -18,6 +21,7 @@ from hyperconn import (
     max_dimension_bound,
     properly_splitted_witness,
     psi,
+    psi_naive,
     reduced_homology,
 )
 from hyperconn.fixtures import cycle_hypergraph, path_hypergraph
@@ -159,6 +163,15 @@ class TestGapFamily:
             list(F.edges) + [frozenset({m + 1, m + 2})],
         )
         assert psi(joined, cap_preservation=True) == 3
+        # the apex variant of demo 06: one new vertex joins every edge
+        apex = Hypergraph(set(F.vertices) | {m + 1}, [E | {m + 1} for E in F.edges])
+        assert psi(apex, cap_preservation=True) == 3
+        # the same values by the exact window search, which rests on no
+        # descent step; F + K2 reuses F's table through the shared solver
+        solver = PsiSolver()
+        assert psi(F, solver=solver) == 2
+        assert psi(joined, solver=solver) == 3
+        assert psi(apex) == 3
 
     def test_k3_is_properly_splitted(self):
         assert is_properly_splitted(build_counterexample_family(3))
@@ -166,3 +179,29 @@ class TestGapFamily:
     def test_rejects_small_k(self):
         with pytest.raises(Exception):
             build_counterexample_family(2)
+
+
+class TestNoReferenceCycles:
+    # a self-recursive nested function is a reference cycle, so its memo or
+    # result list would outlive the call until a full collection
+    @pytest.mark.parametrize(
+        "fn, H",
+        [
+            pytest.param(fn, H, id=fn.__name__)
+            for fn, H in [
+                (c_max_disjoint, cycle_hypergraph(9)),
+                (independence_complex, cycle_hypergraph(12)),
+                (homotopy_type_triangulated, path_hypergraph(7)),
+                (is_properly_splitted, path_hypergraph(6)),
+                (psi_naive, path_hypergraph(6)),
+            ]
+        ],
+    )
+    def test_freed_by_reference_counting(self, fn, H):
+        gc.collect()
+        gc.disable()
+        try:
+            fn(H)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
