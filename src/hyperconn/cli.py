@@ -258,6 +258,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        bounds = getattr(exc, "bounds", None)
+        if bounds is not None:
+            print(f"psi in [{fmt(bounds[0])}, {fmt(bounds[1])}]", file=sys.stderr)
         return EXIT_BUDGET
     except RecursionError:
         print("resource limit: recursion depth exceeded", file=sys.stderr)

@@ -77,7 +77,11 @@ class ResourceError(RuntimeError):
 
 
 class BudgetExceeded(ResourceError):
-    """A recursion node budget was exhausted before the value was determined."""
+    """A recursion node budget was exhausted before the value was determined.
+
+    A cut-off psi query sets bounds to the (lo, hi) it had proven."""
+
+    bounds: tuple | None = None
 
 
 class CapacityExceeded(ResourceError):

@@ -9,11 +9,22 @@ Definition (extended naturals):
 
 where C - F deletes the edge F and C : F is the contraction residual.  The
 solver below evaluates this exactly.  Internally a state is a pair of
-bitmasks (vertex mask, sorted tuple of edge masks) built from the sorted
-vertex list of the input, so relabelling a hypergraph does not change its
-state and structurally identical instances share solver work.  The table
-keeps proven [lo, hi] bounds per state and the search runs with a value
-window, so uninformative branches are cut without ever changing the result:
+bitmasks (vertex mask, sorted tuple of edge masks), and every state is
+compact: its k vertices sit on bits 0..k-1 in vertex order, so its key is
+exactly _encode(H)[:2] of the hypergraph H it stands for.  The root from
+_encode is compact and deleting an edge keeps the vertex mask; the two steps
+that drop vertices, the contraction residual and the component split,
+relabel their result onto the low bits (_compact).  That relabelling keeps
+vertex order, so it keeps the sorted order of the edge masks (two masks
+compare by their highest differing bit, which stays highest) and maps an
+antichain to an antichain (it is a bijection that keeps inclusion both
+ways); the search visits children in the same order as it would on
+uncompacted states.  psi is defined structurally, so it does not change
+under relabelling, and every stored bound is a proven fact about every
+hypergraph its key stands for: order-isomorphic states, such as one path
+segment at any offset, share one table entry.  The table keeps proven
+[lo, hi] bounds per state and the search runs with a value window, so
+uninformative branches are cut without ever changing the result:
 
 * a child whose capped value m1 = psi(C:F) + |F| - 1 cannot beat the best
   min found so far is skipped (its min is at most m1);
@@ -28,9 +39,10 @@ later queries at any window.
 
 Every state's edge masks form an antichain: the input Hypergraph rejects
 comparable edges, deleting an edge keeps an antichain, a contraction keeps
-only minimal sets and a component split takes subsets.  The residual C : F
-drops F and every vertex x with {x} = e - F for some edge e, and keeps as
-edges the minimal diffs e - F of size at least two.  Two consequences make
+only minimal sets, a component split takes subsets and compaction keeps
+inclusion.  The residual C : F drops F and every vertex x with {x} = e - F
+for some edge e, and keeps as edges the minimal diffs e - F of size at
+least two.  Two consequences make
 it cost O(m t) for the t edges meeting F ("touched"), not O(m^2):
 
 * an untouched edge is its own diff, and the only diffs that can lie
@@ -82,6 +94,7 @@ all-finite state settled by the probe.
 from __future__ import annotations
 
 import functools
+import operator
 
 from .errors import BudgetExceeded, DepthExceeded
 from .extnat import INF, ExtNat
@@ -105,6 +118,28 @@ def _encode(C: Hypergraph) -> tuple:
     return vmask, tuple(sorted(masks)), masks
 
 
+def _cover(edges) -> int:
+    """Union of the edge masks."""
+    return functools.reduce(operator.or_, edges, 0)
+
+
+def _compact(vmask: int, edges) -> tuple:
+    """The state relabelled onto bits 0..k-1 in vertex order, k = |vmask|.
+
+    Every edge must lie inside vmask.  The relabelling is order-preserving,
+    so sorted edges stay sorted."""
+    out = edges
+    while vmask & (vmask + 1):
+        # close the highest gap [lo, hi) of clear bits below a set bit: the
+        # bits above it move down as one block
+        hi = (~vmask & ((1 << vmask.bit_length()) - 1)).bit_length()
+        lo = (vmask & ((1 << hi) - 1)).bit_length()
+        keep = (1 << lo) - 1
+        vmask = vmask & keep | vmask >> hi << lo
+        out = [e & keep | e >> hi << lo for e in out] if lo else [e >> hi for e in out]
+    return vmask, tuple(out)
+
+
 def _component_mask(edges: tuple) -> int:
     """Vertex mask of the connected component containing the first edge."""
     comp = edges[0]
@@ -123,9 +158,10 @@ def _component_mask(edges: tuple) -> int:
     return comp
 
 
-def _depth_guarded(method):
-    """Report Python's recursion limit as a resource cutoff.  The table
-    holds only proven bounds, so it stays valid for later queries."""
+def _query(method):
+    """Report a cutoff of a psi query as a resource error.  The table holds
+    only proven bounds, so it stays valid for later queries, and a budget
+    cutoff carries the [lo, hi] it had proven for C (psi >= 0 always)."""
 
     @functools.wraps(method)
     def guarded(self, C: Hypergraph):
@@ -133,6 +169,10 @@ def _depth_guarded(method):
             return method(self, C)
         except RecursionError:
             raise DepthExceeded("recursion depth exceeded") from None
+        except BudgetExceeded as exc:
+            lo, hi = self.table.get(_encode(C)[:2], (0, INF))
+            exc.bounds = (max(lo, 0), hi)
+            raise
 
     return guarded
 
@@ -153,12 +193,12 @@ class PsiSolver:
         # (vertex mask, edge mask tuple) -> [lo, hi]
         self.table: dict[tuple, list] = {}
 
-    @_depth_guarded
+    @_query
     def value(self, C: Hypergraph) -> ExtNat:
         vmask, edges, _fmasks = _encode(C)
         return self._val(vmask, edges)
 
-    @_depth_guarded
+    @_query
     def argmax_edge(self, C: Hypergraph):
         """First edge in canonical order attaining the outer max, or None
         at a base case."""
@@ -197,17 +237,14 @@ class PsiSolver:
             return [0, 0]
         if not edges:
             return [INF, INF]
-        cover = 0
-        for e in edges:
-            cover |= e
-        if vmask & ~cover:
+        if vmask & ~_cover(edges):
             return [INF, INF]
         if self.decompose_components and len(edges) > 1:
             comp = _component_mask(edges)
             if comp != vmask:
-                inside = tuple(e for e in edges if e & comp)
-                outside = tuple(e for e in edges if not e & comp)
-                v = self._val(comp, inside) + self._val(vmask & ~comp, outside)
+                inside = _compact(comp, [e for e in edges if e & comp])
+                outside = _compact(vmask & ~comp, [e for e in edges if not e & comp])
+                v = self._val(*inside) + self._val(*outside)
                 return [v, v]
         return [-1, INF]
 
@@ -239,8 +276,8 @@ class PsiSolver:
             cedges.sort()
         vp = vmask & nf & ~singles
         # a minimal diff of size >= 2 cannot meet F or a neighbor vertex
-        assert all(d & ~vp == 0 for d in cedges)
-        return self._val(vp, tuple(cedges))
+        assert not _cover(cedges) & ~vp
+        return self._val(*_compact(vp, cedges))
 
     def _value_descent(self, vmask: int, edges: tuple) -> ExtNat:
         """Exact value by preserving deletions; see the module docstring
@@ -323,12 +360,11 @@ class PsiSolver:
             if min_hi > u_acc:
                 u_acc = min_hi
             if min_lo > r:
-                r = min_lo
+                # stored at once, so a budget cutoff further on keeps it
+                r = ent[0] = min_lo
             if r >= beta:
                 cut = True
                 break
-        if r > ent[0]:
-            ent[0] = r
         if not cut and u_acc < ent[1]:
             ent[1] = u_acc
         return (ent[0], ent[1])

@@ -245,6 +245,15 @@ class TestExitCodes:
         assert code == 3
         assert "resource" in err.lower() or "budget" in err.lower()
 
+    def test_budget_exit_reports_bounds(self, capsys, tmp_path, monkeypatch):
+        # complete(6, 2): the cutoff comes before any root child is settled
+        monkeypatch.setenv("HYPERCONN_PSI_BUDGET", "2")
+        p = tmp_path / "k6.txt"
+        p.write_text("".join(f"{a} {b}\n" for a in range(1, 7) for b in range(a + 1, 7)))
+        code, out, err = run(capsys, "psi", str(p))
+        assert code == 3 and out == ""
+        assert err == "resource limit: psi node budget 2 exhausted\npsi in [0, inf]\n"
+
     def test_deep_recursion_exits_3(self, capsys, tmp_path):
         p = tmp_path / "p400.txt"
         p.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 400)))

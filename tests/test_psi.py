@@ -68,6 +68,8 @@ PINNED_LARGE = [
     (path_hypergraph(22), INF),
     (path_hypergraph(37), INF),
     (path_hypergraph(48), 16),
+    (path_hypergraph(150), 50),
+    (cycle_hypergraph(42), 14),
 ]
 
 
@@ -119,19 +121,14 @@ def random_antichain(rng):
 class TestContractionKernel:
     @staticmethod
     def check(H):
-        # the oracle: Hypergraph.contract, in H's bit positions
-        index = {v: i for i, v in enumerate(sorted(H.vertices))}
-
-        def mask(vs):
-            return sum(1 << index[v] for v in vs)
-
+        # the oracle: Hypergraph.contract, encoded as a root is
+        vlist = sorted(H.vertices)
         vmask, edges, _ = _encode(H)
         for i, f in enumerate(edges):
-            F = frozenset(v for v, b in index.items() if f >> b & 1)
-            K = H.contract(F)
+            F = frozenset(v for b, v in enumerate(vlist) if f >> b & 1)
             rec = ResidualRecorder()
             rec._contract_value(vmask, edges, i)
-            assert rec.passed == [(mask(K.vertices), tuple(sorted(mask(e) for e in K.edges)))]
+            assert rec.passed == [_encode(H.contract(F))[:2]]
 
     def test_matches_contract_on_random_antichains(self):
         rng = random.Random(31)
@@ -144,6 +141,41 @@ class TestContractionKernel:
         K = H.contract({1, 2})
         assert K.vertices == {3, 4, 5} and K.edges == (frozenset({3, 4}),)
         self.check(H)
+
+
+def tight_cycle(n):
+    return Hypergraph(range(1, n + 1), [{i, i % n + 1, (i + 1) % n + 1} for i in range(1, n + 1)])
+
+
+class TestCompactKeys:
+    def test_every_key_is_an_encoded_root(self):
+        # each state is keyed exactly as _encode keys the hypergraph it
+        # stands for: vertices on bits 0..k-1, edges sorted
+        s = PsiSolver()
+        for H in small_pool(23, 150):
+            psi(H, solver=s)
+        for n in (18, 30, 42):
+            psi(cycle_hypergraph(n), solver=s)
+        for n in (22, 37, 48):
+            psi(path_hypergraph(n), solver=s)
+        for n in (12, 14, 16):
+            psi(tight_cycle(n), solver=s)
+        for vmask, edges in s.table:
+            k = vmask.bit_length()
+            assert vmask == (1 << k) - 1
+            K = Hypergraph(range(k), [[b for b in range(k) if e >> b & 1] for e in edges])
+            assert _encode(K)[:2] == (vmask, edges)
+
+    def test_translated_copies_share_entries(self):
+        s = PsiSolver()
+        assert psi(path_hypergraph(21), solver=s) == 7
+        nodes = s.nodes
+        H = disjoint_union(
+            Hypergraph(range(101, 122), [{i, i + 1} for i in range(101, 121)]),
+            Hypergraph(range(201, 222), [{i, i + 1} for i in range(201, 221)]),
+        )
+        assert psi(H, solver=s) == 14
+        assert s.nodes == nodes
 
 
 class TestSolverAgreement:
@@ -231,6 +263,18 @@ class TestResources:
         monkeypatch.setenv("HYPERCONN_PSI_BUDGET", "2")
         with pytest.raises(BudgetExceeded):
             psi(d_complete(6, 2))
+
+    def test_budget_cutoff_carries_root_bounds(self):
+        with pytest.raises(BudgetExceeded) as info:
+            psi(d_complete(6, 2), budget=2)
+        assert info.value.bounds == (0, INF)
+        # on C_30 the first root child already proves the value as a lower
+        # bound before the budget runs out
+        s = PsiSolver(budget=50)
+        with pytest.raises(BudgetExceeded) as info:
+            psi_witness(cycle_hypergraph(30), solver=s)
+        assert info.value.bounds == (10, INF)
+        assert s.table[_encode(cycle_hypergraph(30))[:2]] == [10, INF]
 
     def test_deep_recursion_raises_resource_error(self):
         H = path_hypergraph(400)
