@@ -11,6 +11,7 @@ cannot silently feed the harness mislabeled instances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from random import Random
 
@@ -77,10 +78,16 @@ def all_graphs(n: int):
     Orbit marking: masks are visited in increasing order and the whole
     isomorphism orbit of each representative is marked, so the cost is
     orbits x permutations, not masks x permutations.  A mask's image is
-    the sum of the image bits of its set bits.
+    the sum of the image bits of its set bits.  The representatives
+    depend on n alone, so they are found once per process and shared.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
+    yield from _graph_classes(n)
+
+
+@functools.cache
+def _graph_classes(n: int) -> tuple:
     pairs = list(itertools.combinations(range(n), 2))
     bit = {}
     for i, (a, b) in enumerate(pairs):
@@ -90,15 +97,16 @@ def all_graphs(n: int):
         for perm in itertools.permutations(range(n))
     ]
     seen = bytearray(1 << len(pairs))
+    out = []
     for mask in range(len(seen)):
         if seen[mask]:
             continue
         bits = [i for i in range(len(pairs)) if mask >> i & 1]
         for image in images:
             seen[sum(map(image.__getitem__, bits))] = 1
-        yield Hypergraph(
-            range(1, n + 1), [(pairs[i][0] + 1, pairs[i][1] + 1) for i in bits]
-        )
+        edges = [(pairs[i][0] + 1, pairs[i][1] + 1) for i in bits]
+        out.append(Hypergraph(range(1, n + 1), edges))
+    return tuple(out)
 
 
 def is_chordal(G: Hypergraph) -> bool:

@@ -158,6 +158,12 @@ def _check_ground_truth(payload):
 
 
 def _gen_conn_bound(rng, samples, max_vertices):
+    if samples and max_vertices < 3:
+        # only the random samples are 3-uniform, so --samples 0 is accepted
+        raise ValidationError(
+            "conn-bound and domination draw 3-uniform samples: need"
+            f" --max-vertices >= 3, got {max_vertices}"
+        )
     out = []
     for n in range(1, min(6, max_vertices) + 1):
         for G in all_graphs(n):
@@ -459,6 +465,10 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
+# instances per pool task; a suite of at most one chunk would keep only one
+# pool process busy, so it runs in the calling process instead
+_CHUNK = 8
+
 
 def _run_check(item):
     name, payload = item
@@ -547,8 +557,9 @@ def run_suite(
 
     Raises ValidationError, before any instance is drawn, for an unknown
     name, negative samples or fewer than one worker.  The pool starts at
-    most one process per CPU, whatever workers asks for; the outcome does
-    not depend on the worker count."""
+    most one process per CPU, whatever workers asks for, and only when the
+    instances fill more than one chunk; the outcome does not depend on the
+    worker count."""
     gen, _check = _suite(name)
     if samples < 0:
         raise ValidationError(f"samples must be >= 0, got {samples}")
@@ -558,9 +569,9 @@ def run_suite(
     start = time.perf_counter()
     payloads = gen(rng, samples, max_vertices)
     items = [(name, p) for p in payloads]
-    if workers > 1 and len(items) > 1:
+    if workers > 1 and len(items) > _CHUNK:
         with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            outcomes = list(pool.map(_run_check, items, chunksize=8))
+            outcomes = list(pool.map(_run_check, items, chunksize=_CHUNK))
     else:
         outcomes = [_run_check(it) for it in items]
     checks = 0

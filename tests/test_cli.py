@@ -307,6 +307,23 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("suite", ["conn-bound", "domination", "all"])
+    def test_verify_too_few_vertices_names_suite_and_flag(self, capsys, suite):
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, "--max-vertices", "2",
+            "--samples", "3",
+        )
+        assert code == 2
+        assert "conn-bound" in err and "--max-vertices >= 3" in err
+
+    @pytest.mark.parametrize("suite", ["conn-bound", "domination"])
+    def test_verify_graph_classes_alone_need_no_third_vertex(self, capsys, suite):
+        code, out, _ = run(
+            capsys, "verify", "--suite", suite, "--max-vertices", "2",
+            "--samples", "0",
+        )
+        assert code == 0 and "overall PASS" in out
+
     def test_verify_json_output(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "splitting-family", "--json"

@@ -21,14 +21,25 @@ from hyperconn.fixtures import cycle_hypergraph, path_hypergraph
 class TestExhaustive:
     def test_graph_counts_up_to_iso(self):
         # unlabeled simple graph counts on 1..7 vertices
-        expect = [1, 2, 4, 11, 34, 156]
-        got = [sum(1 for _ in all_graphs(n)) for n in range(1, 7)]
+        expect = [1, 2, 4, 11, 34, 156, 1044]  # OEIS A000088
+        got = [sum(1 for _ in all_graphs(n)) for n in range(1, 8)]
         assert got == expect
 
     def test_chordal_counts(self):
-        expect = [1, 2, 4, 10, 27, 94]
-        got = [sum(1 for _ in chordal_graphs(n)) for n in range(1, 7)]
+        expect = [1, 2, 4, 10, 27, 94, 393]  # OEIS A048192
+        got = [sum(1 for _ in chordal_graphs(n)) for n in range(1, 8)]
         assert got == expect
+        # the triangulated-homotopy suite starts from these 531 graphs
+        assert sum(got) == 531
+
+    def test_repeated_enumeration_is_identical(self):
+        first = list(all_graphs(6))
+        assert list(all_graphs(6)) == first
+
+    def test_no_vertices_rejected_on_iteration(self):
+        stream = all_graphs(0)
+        with pytest.raises(ValidationError):
+            list(stream)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_one_graph_per_isomorphism_class(self, n):

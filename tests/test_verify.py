@@ -8,6 +8,30 @@ import hyperconn.verify as verify
 from hyperconn import ValidationError
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stand-in for the process pool; returns the pool sizes requested."""
+    sizes = []
+
+    class SerialPool:
+        """Records the requested pool size and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
 class TestDeterminism:
     def test_same_seed_same_report(self):
         names = ["ground-truth", "structural"]
@@ -16,36 +40,25 @@ class TestDeterminism:
         assert a.to_json() == b.to_json()
 
     def test_worker_count_does_not_change_report(self):
+        # 20 instances per suite fill three chunks, so workers=3 pools them
         names = ["structural", "mayer-vietoris"]
-        a = verify.run(seed=4, samples=8, max_vertices=6, suites=names)
-        b = verify.run(seed=4, samples=8, max_vertices=6, suites=names, workers=3)
+        a = verify.run(seed=4, samples=20, max_vertices=6, suites=names)
+        b = verify.run(seed=4, samples=20, max_vertices=6, suites=names, workers=3)
         assert a.to_json() == b.to_json()
 
     @pytest.mark.parametrize("cpus, started", [(2, 2), (None, 1)])
-    def test_pool_size_is_clamped_to_cpus(self, monkeypatch, cpus, started):
-        sizes = []
-
-        class SerialPool:
-            """Records the requested pool size and maps in this process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    def test_pool_size_is_clamped_to_cpus(self, serial_pool, monkeypatch, cpus, started):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-        args = dict(seed=4, samples=8, max_vertices=6)
+        args = dict(seed=4, samples=20, max_vertices=6)
         many = verify.run_suite("structural", workers=10**6, **args)
-        assert sizes == [started]
+        assert serial_pool == [started]
         assert many.to_dict() == verify.run_suite("structural", **args).to_dict()
+
+    def test_single_chunk_suite_starts_no_pool(self, serial_pool):
+        args = dict(seed=4, samples=8, max_vertices=6)
+        two = verify.run_suite("structural", workers=2, **args)
+        assert serial_pool == []
+        assert two.to_dict() == verify.run_suite("structural", **args).to_dict()
 
     def test_seed_changes_instances(self):
         a = verify.run_suite("structural", seed=1, samples=8, max_vertices=6)
