@@ -31,10 +31,52 @@ order and hands each chain it reaches to a visit callback: True stops the
 search, False skips that chain's extensions, None extends it.  Distance
 queries visit until the target edge appears, under iterative deepening;
 the decomposition-vertex check visits until it meets an irredundant chain
-with v in three of its edges.  Irredundance is a _walk query too: a chain
-of length n is redundant exactly when a walk from its first edge, over its
-own edges taken in increasing index order, reaches its last edge within
-n - 1 pivots.
+with v in three of its edges.
+
+Irredundance needs no search.  A chord of a chain is a pair E_p, E_q with
+q - p >= 2 and |E_p & E_q| = |E_q| - 1.
+
+Chord lemma.  A proper chain whose edges form an antichain, as the edges
+of every Hypergraph do, is redundant exactly when it has a chord.
+
+Proof.  Write S_k = E_{k-1} & E_k; the step condition makes E_k = S_k + b_k
+for one vertex b_k outside E_{k-1}.  (=>) A strict subsequence that keeps
+E_0 and E_n skips an edge, so one of its steps jumps from E_i to E_j with
+j - i >= 2, and that step's condition makes (i, j) a chord.  (<=) Take a
+chord (p, q) inside no other chord (p', q'), p' <= p and q <= q'; let
+T = E_p & E_q and w the one vertex of E_q outside E_p.  The subsequence
+E_0..E_p, E_q..E_n meets every step condition and frees the pivots
+x_{p+1}..x_q; it needs a pivot in T for the jump from E_p to E_q.  If x_q
+lies in T it serves.  Otherwise x_q = w, and:
+  - q < n.  (p, q+1) is no chord.  If w left at step q + 1, S_{q+1} would
+    lie in T, and no chord would force b_{q+1} into E_p, hence E_{q+1}
+    into E_p: two comparable edges.  So w lies in S_{q+1}; the jump takes
+    x_{q+1}, which lies in E_q - w = T, and step q + 1 takes w.
+  - q = n, p = 0.  The jump takes any vertex of T, which is not empty as
+    E_n holds x_n and b_n.
+  - q = n, p >= 1.  (p-1, n) is no chord.  E_{p-1} meets E_n in
+    |T| - [b_p in T] + [w in E_{p-1}] vertices, so b_p outside T would
+    put w in E_{p-1} and E_n = T + w inside E_{p-1}: comparable again.
+    So b_p lies in T.  No pivot of E_0..E_p uses f = x_{p+1}, a vertex of
+    E_p.  If f lies in T the jump takes it.  Otherwise f != b_p and the
+    jump takes b_p: if some x_k is b_p, the claim below moves pivots so
+    that f is used and b_p is free.
+  Claim: in a proper chain E_0..E_m, let f be a vertex of E_m - b_m that
+  no pivot uses.  Every step k is reached by an alternating path: f in
+  S_{k_1}, x_{k_1} in S_{k_2}, ..., k_r = k, and letting each step k_i take
+  the vertex before x_{k_i} on the path frees x_k.  If not, let j be the
+  last step not reached and R the set of f and every pivot of a reached
+  step.  A vertex of R in S_j would reach j, so R & E_j lies in {b_j},
+  and each later step adds at most b_k: R & E_k lies in {b_j, ..., b_k}.
+  Every x_k with k > j lies in R & E_{k-1}, so these m - j distinct
+  pivots fill {b_j, ..., b_{m-1}}.  Then f, in R & E_m and no pivot, is
+  b_m, a contradiction.
+
+So every segment of an irredundant proper chain is irredundant, since a
+chord of the segment is one of the chain, and a chain that has a chord
+passes it to every extension.  The antichain is needed: the chain
+{0 2 3} {1 2} {0 1} {0 3} {2 3} has the chord (0, 2) and is irredundant,
+and its last edge lies in its first.
 """
 
 from __future__ import annotations
@@ -144,41 +186,26 @@ def _walk(all_edges, seq: list, pivots: list, used: set, cap: int, visit) -> boo
     return False
 
 
+def _closes_chord(seq: list, q: int) -> bool:
+    """Whether E_q and an edge E_p with p <= q - 2 form a chord."""
+    last = seq[q]
+    need = len(last) - 1
+    return any(len(seq[p] & last) == need for p in range(q - 1))
+
+
 def _redundant(edges: list) -> bool:
-    """Whether a strict subsequence of the proper chain's edges, first and
-    last kept and order preserved, carries pivots making it proper.
-
-    A _walk from the first edge over the chain's own edges, in increasing
-    index order and with at most n - 1 pivots, reaching the last edge.
-    Later edges are offered first, so long jumps toward the last edge are
-    tried before short steps; the verdict does not depend on that order.
-
-    The index-order test is part of the definition and stays until it is
-    proved redundant.  The edges {0 2 3} {1 2} {0 1} {0 3} {2 3} form an
-    irredundant chain whose edges reach the last edge in three pivots only
-    out of order, but that example needs comparable edges, so it cannot
-    arise in a Hypergraph; on antichain input the test changed no verdict
-    in about 21M chains searched.
-    """
-    if len(edges) <= 2:
-        return False
-    index = {e: i for i, e in enumerate(edges)}
-    last = edges[-1]
-
-    def shortcut(seq: list, pivots: list) -> bool | None:
-        if len(seq) > 1 and index[seq[-1]] < index[seq[-2]]:
-            return False
-        return True if seq[-1] == last else None
-
-    return _walk(edges[::-1], [edges[0]], [], set(), len(edges) - 2, shortcut)
+    """Whether the proper chain has a chord: by the chord lemma, whether a
+    strict subsequence of its edges, first and last kept and order
+    preserved, carries pivots making it proper."""
+    return any(_closes_chord(edges, q) for q in range(2, len(edges)))
 
 
 def is_irredundant(C: Hypergraph, chain: ProperChain) -> bool:
     """True when no strict edge subsequence is again a proper chain.
 
     The candidate subsequences keep the first and last edge and preserve
-    order; the search for one is a _walk query over the chain's edges.
-    Raises ValidationError if the input is not a proper chain of C.
+    order; by the chord lemma one exists exactly when the chain has a
+    chord.  Raises ValidationError if the input is not a proper chain of C.
     """
     if not is_proper_chain(C, chain):
         raise ValidationError("not a proper chain")
@@ -308,34 +335,29 @@ def is_splitting_edge(C: Hypergraph, F) -> bool:
 def _chain_occurrences_ok(C: Hypergraph, v: int) -> bool:
     """No proper irredundant chain of C carries v in more than two edges.
 
-    Every prefix of a proper chain is a proper chain, so the search tests
-    each prefix whose count exceeds two and keeps extending either way.
-    The count of edges holding v is kept per depth along the walk, and
-    other pivots reach the same edge sequence again, so each sequence
-    found redundant is remembered while the walk stays at its first edge.
+    A violating chain has a violating segment, from its first to its third
+    edge holding v, which is irredundant by the chord lemma.  So walks
+    start only at edges holding v, skip the extensions of every chain that
+    closes a chord, and stop at the first chordless chain with three edges
+    holding v.  The count of those edges is kept per depth along the walk.
     """
     if C.degree(v) <= 2:
         return True
     counts = [0] * (len(C.edges) + 1)  # counts[k]: edges of seq[:k] holding v
-    redundant: set = set()
 
     def violates(seq: list, pivots: list) -> bool | None:
         k = len(seq)
+        if _closes_chord(seq, k - 1):
+            return False
         counts[k] = counts[k - 1] + (v in seq[-1])
-        if counts[k] > 2:
-            key = tuple(seq)
-            if key not in redundant:
-                if not _redundant(seq):
-                    return True
-                redundant.add(key)
-        return None
+        return True if counts[k] > 2 else None
 
     cap = len(C.edges) - 1
-    for start in C.edges:
-        redundant.clear()  # every sequence of this walk begins with start
-        if _walk(C.edges, [start], [], set(), cap, violates):
-            return False
-    return True
+    return not any(
+        _walk(C.edges, [start], [], set(), cap, violates)
+        for start in C.edges
+        if v in start
+    )
 
 
 def _neighborhood_complete(C: Hypergraph, v: int, d: int) -> bool:

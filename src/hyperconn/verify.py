@@ -157,13 +157,18 @@ def _check_ground_truth(payload):
 # conn-bound suite: homological connectivity against the recursive bound
 
 
-def _gen_conn_bound(rng, samples, max_vertices):
-    if samples and max_vertices < 3:
-        # only the random samples are 3-uniform, so --samples 0 is accepted
+def _need_three_vertices(suites: str, max_vertices: int) -> None:
+    if max_vertices < 3:
         raise ValidationError(
-            "conn-bound and domination draw 3-uniform samples: need"
-            f" --max-vertices >= 3, got {max_vertices}"
+            f"{suites}: 3-uniform samples need --max-vertices >= 3,"
+            f" got {max_vertices}"
         )
+
+
+def _gen_conn_bound(rng, samples, max_vertices):
+    if samples:
+        # only the random samples are 3-uniform, so --samples 0 is accepted
+        _need_three_vertices("conn-bound and domination", max_vertices)
     out = []
     for n in range(1, min(6, max_vertices) + 1):
         for G in all_graphs(n):
@@ -343,6 +348,7 @@ def _check_domination(payload):
 
 
 def _gen_properly_connected(rng, samples, max_vertices):
+    _need_three_vertices("properly-connected", max_vertices)
     out = []
     for n in range(1, min(6, max_vertices) + 1):
         for G in all_graphs(n):
@@ -381,12 +387,18 @@ def _check_properly_connected(payload):
 
 
 def _gen_triangulated(rng, samples, max_vertices):
+    if samples:
+        _need_three_vertices("triangulated-homotopy", max_vertices)
     out = []
     for n in range(1, min(7, max_vertices) + 1):
         for G in chordal_graphs(n):
             out.append({"instance": _to_text(G)})
-    for _ in range(samples):
-        H = random_triangulated_uniform(rng, 3, min(max_vertices, 8))
+    # 4-uniform draws come after the 3-uniform ones, so a seed draws the
+    # same 3-uniform instances as before they were added; below four
+    # vertices there is no 4-uniform instance to draw
+    draws = [3] * samples + [4] * (samples // 2 if max_vertices >= 4 else 0)
+    for d in draws:
+        H = random_triangulated_uniform(rng, d, min(max_vertices, 8))
         out.append({"instance": _to_text(H)})
     return out
 

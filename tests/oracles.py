@@ -178,7 +178,7 @@ def chain_distance(edges, F, G) -> float:
     return INF
 
 
-def _has_pivots(seq) -> bool:
+def has_pivots(seq) -> bool:
     """Whether some distinct pivots make the edge sequence a proper chain."""
     n = len(seq) - 1
     if any(len(seq[i] & seq[i + 1]) != len(seq[i + 1]) - 1 for i in range(n)):
@@ -192,7 +192,7 @@ def irredundant(seq) -> bool:
     and last edge in order, is a proper chain."""
     seq = [frozenset(e) for e in seq]
     return not any(
-        _has_pivots((seq[0], *mid, seq[-1]))
+        has_pivots((seq[0], *mid, seq[-1]))
         for r in range(len(seq) - 2)
         for mid in itertools.combinations(seq[1:-1], r)
     )
@@ -210,7 +210,7 @@ def max_irredundant_occurrences(edges, v) -> int:
     for k in range(1, len(es) + 1):
         for seq in itertools.permutations(es, k):
             count = sum(1 for e in seq if v in e)
-            if count <= best or not _has_pivots(seq):
+            if count <= best or not has_pivots(seq):
                 continue
             if irredundant(seq):
                 best = count

@@ -7,6 +7,7 @@ import pytest
 
 from hyperconn import (
     INF,
+    ComparableEdges,
     Hypergraph,
     NotProperlyConnected,
     ProperChain,
@@ -39,6 +40,20 @@ import oracles
 
 def fs(*xs):
     return frozenset(xs)
+
+
+def proper_chains(edges):
+    """Every edge sequence that some distinct pivots make a proper chain,
+    grown from proper prefixes and checked by the oracle."""
+    out = []
+    stack = [[e] for e in edges]
+    while stack:
+        seq = stack.pop()
+        out.append(seq)
+        for e in edges:
+            if e not in seq and oracles.has_pivots([*seq, e]):
+                stack.append([*seq, e])
+    return out
 
 
 class TestProperChain:
@@ -109,13 +124,36 @@ class TestProperChain:
                 seen.add(ok)
         assert seen == {True, False}
 
-    def test_redundancy_keeps_edge_order(self):
-        # a proper chain whose edges reach the last edge in three pivots only
-        # out of order ({0 2 3} {0 1} {1 2} {2 3}); its edges are comparable,
-        # so it lives in no Hypergraph and the kernel is called directly
+    def test_chord_lemma_needs_an_antichain(self):
+        # irredundant although (0, 2) is a chord: the last edge {2 3} lies
+        # inside the first, where the lemma's proof needs an antichain, and
+        # a Hypergraph refuses such edges, so no chord test meets this chain
         seq = [fs(0, 2, 3), fs(1, 2), fs(0, 1), fs(0, 3), fs(2, 3)]
         assert oracles.irredundant(seq)
-        assert not _redundant(seq)
+        assert _redundant(seq)
+        with pytest.raises(ComparableEdges):
+            Hypergraph(range(4), seq)
+
+    def test_chord_lemma_on_every_proper_chain(self):
+        # redundant exactly when some E_p, E_q with q - p >= 2 meet in
+        # |E_q| - 1 vertices, on every proper chain of seeded 3-uniform,
+        # 4-uniform and mixed-size inputs
+        rng = random.Random(65)
+        inputs = [random_hypergraph(rng, 7).edges for _ in range(20)]
+        for d, n in ((3, 6), (4, 7)):
+            sets = [frozenset(c) for c in itertools.combinations(range(1, n + 1), d)]
+            inputs += [rng.sample(sets, rng.randint(6, 9)) for _ in range(8)]
+        seen = set()
+        for edges in inputs:
+            for seq in proper_chains(edges):
+                chordless = not any(
+                    len(seq[p] & seq[q]) == len(seq[q]) - 1
+                    for q in range(len(seq))
+                    for p in range(q - 1)
+                )
+                assert oracles.irredundant(seq) == chordless, seq
+                seen.add(chordless)
+        assert seen == {True, False}
 
 
 class TestDistance:
@@ -276,7 +314,7 @@ class TestTriangulated:
         # vertices of degree three and more, which random triples rarely do
         rng = random.Random(64)
         chain_tested = 0
-        for _ in range(25):
+        for _ in range(60):
             G = random_triangulated_uniform(rng, 3, rng.randint(4, 7), verify=False)
             extra = frozenset(rng.sample(sorted(G.vertices), 3))
             H = Hypergraph(G.vertices, set(G.edges) | {extra})
@@ -292,9 +330,10 @@ class TestTriangulated:
         assert chain_tested > 0
 
     def test_four_uniform_growth_instance(self):
-        H = random_triangulated_uniform(random.Random(4001), 4, 7)
-        assert H.uniform_size() == 4
-        assert is_properly_connected(H) and is_triangulated(H)
+        for seed, n in ((4001, 7), (4000, 8)):
+            H = random_triangulated_uniform(random.Random(seed), 4, n)
+            assert H.uniform_size() == 4
+            assert is_properly_connected(H) and is_triangulated(H)
 
     def test_constructed_families(self):
         rng = random.Random(54)
@@ -317,9 +356,10 @@ class TestTriangulated:
                 assert _chain_occurrences_ok(H, v) == ok, (H, v)
                 seen.add(ok)
         assert seen == {True, False}
-        # each carries an irredundant chain, three edges holding v, whose
-        # prefix without its last edge is redundant: remembering redundant
-        # prefixes in place of whole sequences would pass these
+        # each has an irredundant chain of three edges holding v, such as
+        # {1 5 6} {1 3 6} {3 4 6}, whose end edges meet in v alone: a chord
+        # needs |E_p & E_q| = |E_q| - 1, not a shared vertex, and a walk from
+        # an edge holding v must report the chain at its third edge
         for edges, v in (
             ([(1, 2, 3), (1, 3, 6), (1, 4, 6), (1, 5, 6), (3, 4, 6)], 6),
             ([(1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 4), (2, 4, 5)], 3),

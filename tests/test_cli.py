@@ -307,16 +307,20 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
-    @pytest.mark.parametrize("suite", ["conn-bound", "domination", "all"])
+    @pytest.mark.parametrize(
+        "suite",
+        ["conn-bound", "domination", "all", "properly-connected", "triangulated-homotopy"],
+    )
     def test_verify_too_few_vertices_names_suite_and_flag(self, capsys, suite):
         code, out, err = run(
             capsys, "verify", "--suite", suite, "--max-vertices", "2",
             "--samples", "3",
         )
         assert code == 2
-        assert "conn-bound" in err and "--max-vertices >= 3" in err
+        named = "conn-bound" if suite == "all" else suite
+        assert named in err and "--max-vertices >= 3" in err
 
-    @pytest.mark.parametrize("suite", ["conn-bound", "domination"])
+    @pytest.mark.parametrize("suite", ["conn-bound", "domination", "triangulated-homotopy"])
     def test_verify_graph_classes_alone_need_no_third_vertex(self, capsys, suite):
         code, out, _ = run(
             capsys, "verify", "--suite", suite, "--max-vertices", "2",
