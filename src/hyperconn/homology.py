@@ -8,9 +8,10 @@ Conventions
 * Faces are oriented by the ascending order of their int vertices.
 * All arithmetic is over Python ints, so ranks and torsion are exact; no
   floating point or fixed-width overflow anywhere.
-* Smith normal form eliminates over the nonzero entries of each boundary
-  matrix only, pivoting on an entry of least absolute value (a unit when
-  there is one), and reduces a finished pivot's row mod the pivot.
+* A matrix is a list of sparse {col: value} rows without zero entries;
+  boundary rows are built that way.  Smith normal form eliminates over
+  them, pivoting on an entry of least absolute value (a unit when there is
+  one), and reduces a finished pivot's row mod the pivot.
 
 The connectivity number conn_h is the largest k such that the reduced
 homology vanishes in every dimension from -1 through k: -2 when homology is
@@ -21,7 +22,6 @@ dimension vanishes (for example any cone).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
 from math import gcd
 
 from .complexes import SimplicialComplex
@@ -35,25 +35,25 @@ __all__ = [
 ]
 
 
-def smith_diagonal(mat: list[list[int]]) -> list[int]:
+def smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
     """Nonzero diagonal of a Smith normal form of an integer matrix.
 
-    Returns positive ints normalized so each divides the next.  The input
-    is not modified.  Elimination touches only nonzero entries: each row is
-    a {col: value} dict, with a column index of the rows meeting each
-    column.  The pivot p is an entry of least absolute value, the first
-    unit in row order when there is one.  Row operations clear its column;
-    once that column holds only p, a column operation against it changes
-    the pivot row alone, so that row is reduced mod p.  Any nonzero
-    remainder, in the column or in the row, is smaller than |p|, so the
-    next search finds a smaller pivot; otherwise p joins the diagonal.
+    The matrix is a list of rows, each a {col: value} dict with the zero
+    entries omitted.  Returns positive ints normalized so each divides the
+    next.  The input is not modified: elimination runs on copies of the
+    nonempty rows, with an index of the rows meeting each column.  The
+    pivot p is an entry of least absolute value, the first unit in row
+    order when there is one.  Row operations clear its column; once that
+    column holds only p, a column operation against it changes the pivot
+    row alone, so that row is reduced mod p.  Any nonzero remainder, in the
+    column or in the row, is smaller than |p|, so the next search finds a
+    smaller pivot; otherwise p joins the diagonal.
     """
-    rows = {i: {j: row[j] for j in compress(count(), row)} for i, row in enumerate(mat)}
-    rows = {i: row for i, row in rows.items() if row}
-    cols: list[set[int]] = [set() for _ in mat[0]] if mat else []
+    rows = {i: dict(row) for i, row in enumerate(rows) if row}
+    cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
-            cols[j].add(i)
+            cols.setdefault(j, set()).add(i)
     diag: list[int] = []
     while rows:
         pivot = None
@@ -148,14 +148,14 @@ class HomologyProfile:
         return "\n".join(lines)
 
 
-def _boundary_matrix(lower: list[tuple], upper: list[tuple]) -> list[list[int]]:
+def _boundary_rows(lower: list[tuple], upper: list[tuple]) -> list[dict[int, int]]:
+    # column j is upper[j], so each row's columns are inserted ascending
     index = {f: i for i, f in enumerate(lower)}
-    mat = [[0] * len(upper) for _ in lower]
+    rows: list[dict[int, int]] = [{} for _ in lower]
     for j, face in enumerate(upper):
-        for i, v in enumerate(face):
-            sub = face[:i] + face[i + 1 :]
-            mat[index[sub]][j] = 1 if i % 2 == 0 else -1
-    return mat
+        for i in range(len(face)):
+            rows[index[face[:i] + face[i + 1 :]]][j] = 1 if i % 2 == 0 else -1
+    return rows
 
 
 def reduced_homology(delta: SimplicialComplex, cap: int | None = None) -> HomologyProfile:
@@ -165,25 +165,22 @@ def reduced_homology(delta: SimplicialComplex, cap: int | None = None) -> Homolo
     from the Smith diagonal of the boundary one dimension up.  A reduced
     Euler characteristic identity is asserted as an internal sanity check.
     """
-    by_dim: dict[int, list[tuple]] = {-1: [()]}
-    faces = [tuple(sorted(f)) for f in delta.faces(cap)]
-    for f in sorted(faces, key=lambda f: (len(f), f)):
-        if f:
-            by_dim.setdefault(len(f) - 1, []).append(f)
+    by_dim: dict[int, list[tuple]] = {}
+    for f in delta.faces(cap):
+        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
+    for fs in by_dim.values():
+        fs.sort()
     top = delta.dim
-    ranks: dict[int, int] = {}
-    smith: dict[int, list[int]] = {}
-    for k in range(0, top + 1):
-        mat = _boundary_matrix(by_dim[k - 1], by_dim[k])
-        d = smith_diagonal(mat)
-        ranks[k] = len(d)
-        smith[k] = d
+    smith = {
+        k: smith_diagonal(_boundary_rows(by_dim[k - 1], by_dim[k]))
+        for k in range(top + 1)
+    }
     betti: dict[int, int] = {}
     torsion: dict[int, tuple] = {}
     for k in range(-1, top + 1):
-        nk = len(by_dim.get(k, ()))
-        betti[k] = nk - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        tors = tuple(x for x in smith.get(k + 1, ()) if x > 1)
+        below, above = smith.get(k, ()), smith.get(k + 1, ())
+        betti[k] = len(by_dim[k]) - len(below) - len(above)
+        tors = tuple(x for x in above if x > 1)
         if tors:
             torsion[k] = tors
     euler_faces = sum((-1) ** k * len(fs) for k, fs in by_dim.items())

@@ -348,13 +348,14 @@ def _check_domination(payload):
 
 
 def _gen_properly_connected(rng, samples, max_vertices):
-    _need_three_vertices("properly-connected", max_vertices)
+    if samples:
+        _need_three_vertices("properly-connected", max_vertices)
     out = []
     for n in range(1, min(6, max_vertices) + 1):
         for G in all_graphs(n):
             if G.edges and is_properly_connected(G):
                 out.append({"instance": _to_text(G)})
-    for _ in range(max(samples // 4, 10)):
+    for _ in range(max(samples // 4, 10) if samples else 0):
         H = random_triangulated_uniform(rng, 3, min(max_vertices, 8))
         out.append({"instance": _to_text(H)})
     return out

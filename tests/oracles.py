@@ -121,6 +121,72 @@ def invariant_factors(mat: list) -> list:
     return factors
 
 
+def invariant_factors_by_elimination(mat: list) -> list:
+    """Nonzero invariant factors of an integer matrix, ascending, by the
+    textbook dense reduction with row and column swaps.
+
+    Move an entry of least absolute value in the remaining block to its
+    corner and clear the corner's row and column by integer division,
+    until no remainder is left; if the corner then fails to divide some
+    entry of the block, add that entry's row to the corner's row and go
+    on.  Each finished corner divides everything after it, so the corners
+    already form the divisibility chain.
+    """
+    a = [list(row) for row in mat]
+    rows, cols = len(a), len(a[0]) if a else 0
+    factors = []
+    for t in range(min(rows, cols)):
+        while True:
+            nonzero = [
+                (abs(a[i][j]), i, j)
+                for i in range(t, rows)
+                for j in range(t, cols)
+                if a[i][j]
+            ]
+            if not nonzero:
+                return factors
+            _, i, j = min(nonzero)
+            a[t], a[i] = a[i], a[t]
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            p = a[t][t]
+            for i in range(t + 1, rows):
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, cols):
+                q = a[t][j] // p
+                for row in a:
+                    row[j] -= q * row[t]
+            if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1 :]):
+                continue
+            bad = next(
+                (i for i in range(t + 1, rows) for x in a[i][t + 1 :] if x % p),
+                None,
+            )
+            if bad is None:
+                factors.append(abs(p))
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+    return factors
+
+
+def boundary_matrix(faces, k: int) -> list:
+    """Dense matrix of the boundary map from k-faces to (k-1)-faces.
+
+    Rows are the (k-1)-faces and columns the k-faces, each as an ascending
+    vertex tuple and listed in ascending order; deleting the i-th vertex of
+    a column's face gives the entry (-1) ** i in that face's row.
+    """
+    lower = sorted(tuple(sorted(f)) for f in faces if len(f) == k)
+    upper = sorted(tuple(sorted(f)) for f in faces if len(f) == k + 1)
+    index = {f: i for i, f in enumerate(lower)}
+    rows = [[0] * len(upper) for _ in lower]
+    for j, face in enumerate(upper):
+        for i in range(len(face)):
+            rows[index[face[:i] + face[i + 1 :]]][j] = (-1) ** i
+    return rows
+
+
 def betti_numbers(faces) -> dict:
     """Reduced rational Betti numbers of a complex given by its face set.
 
@@ -128,27 +194,27 @@ def betti_numbers(faces) -> dict:
     Uses the augmented chain complex with exact fraction arithmetic; no
     integer normal forms anywhere.
     """
-    by_dim: dict = {}
-    for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
-    for k in by_dim:
-        by_dim[k].sort()
-    top = max(by_dim)
-    ranks = {}
-    for k in range(0, top + 1):
-        lower = by_dim.get(k - 1, [])
-        upper = by_dim.get(k, [])
-        index = {f: i for i, f in enumerate(lower)}
-        rows = [[0] * len(upper) for _ in lower]
-        for j, face in enumerate(upper):
-            for i in range(len(face)):
-                sub = face[:i] + face[i + 1 :]
-                rows[index[sub]][j] = (-1) ** i
-        ranks[k] = _rank_rational(rows) if rows and rows[0] else 0
-    betti = {}
-    for k in range(-1, top + 1):
-        betti[k] = len(by_dim.get(k, [])) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-    return betti
+    top = max(len(f) for f in faces) - 1
+    ranks = {k: _rank_rational(boundary_matrix(faces, k)) for k in range(top + 1)}
+    return {
+        k: sum(len(f) == k + 1 for f in faces) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        for k in range(-1, top + 1)
+    }
+
+
+def torsion(faces) -> dict:
+    """Reduced integer torsion of a complex given by its face set.
+
+    Maps each dimension k - 1 with torsion to the invariant factors above 1
+    of the k-th boundary matrix, found by the textbook dense reduction.
+    """
+    out = {}
+    for k in range(max(len(f) for f in faces)):
+        factors = invariant_factors_by_elimination(boundary_matrix(faces, k))
+        tors = tuple(x for x in factors if x > 1)
+        if tors:
+            out[k - 1] = tors
+    return out
 
 
 def chain_distance(edges, F, G) -> float:

@@ -328,6 +328,20 @@ class TestExitCodes:
         )
         assert code == 0 and "overall PASS" in out
 
+    def test_verify_properly_connected_without_draws(self, capsys):
+        # the graph class alone, as in the test above; its one instance on
+        # at most two vertices is the edge 1 2
+        code, out, _ = run(
+            capsys, "verify", "--suite", "properly-connected", "--max-vertices", "2",
+            "--samples", "0",
+        )
+        assert code == 0 and "instances=1 checks=4 failures=0" in out
+        code, out, err = run(
+            capsys, "verify", "--suite", "properly-connected", "--max-vertices", "2",
+            "--samples", "1",
+        )
+        assert code == 2 and out == "" and "--max-vertices >= 3" in err
+
     def test_verify_json_output(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "splitting-family", "--json"
