@@ -19,11 +19,23 @@ vertex order, so it keeps the sorted order of the edge masks (two masks
 compare by their highest differing bit, which stays highest) and maps an
 antichain to an antichain (it is a bijection that keeps inclusion both
 ways); the search visits children in the same order as it would on
-uncompacted states.  psi is defined structurally, so it does not change
-under relabelling, and every stored bound is a proven fact about every
-hypergraph its key stands for: order-isomorphic states, such as one path
-segment at any offset, share one table entry.  The table keeps proven
-[lo, hi] bounds per state and the search runs with a value window, so
+uncompacted states.
+
+Isomorphic states share one table entry.  A state that does not settle at
+once (base case, isolated vertex, component split) is renumbered in
+breadth-first order (_relabelled), and its key aliases the entry of that
+relabelled key.  This needs no canonical form: two states with equal
+relabelled keys are both isomorphic to the hypergraph that key stands for,
+psi is defined structurally, so it does not change under relabelling, and
+so every stored [lo, hi] is a proven fact about every state sharing it.
+Isomorphic states may still get different relabelled keys; they then only
+share less.  No state shares an entry with one of its ancestors in the
+search, since every child has fewer edges on the same vertices or fewer
+vertices.  The search itself runs in each state's own labelling, so child
+order and witnesses do not change; a shared entry only makes bounds, and
+so cuts, arrive earlier.  On the cycle C_n the n root children are one path
+cut at n places and share one entry.  The table keeps proven [lo, hi]
+bounds per state and the search runs with a value window, so
 uninformative branches are cut without ever changing the result:
 
 * a child whose capped value m1 = psi(C:F) + |F| - 1 cannot beat the best
@@ -57,7 +69,9 @@ induction (deletion and contraction commute with them edge by edge):
 * a hypergraph with an isolated vertex has psi = infinity, because every
   recursion leaf below it is the edgeless-on-nonempty base;
 * psi adds up over connected components (every child splits the same way,
-  and min/max distribute over the per-component sum).
+  and min/max distribute over the per-component sum).  _components finds
+  them in one pass over the edges, and a state of several components is
+  settled as the sum of its compacted components' exact values.
 
 psi_naive is a direct transcription of the recursion with no table, no
 ordering, no cuts and no shortcuts, kept as an independent oracle; the
@@ -140,22 +154,82 @@ def _compact(vmask: int, edges) -> tuple:
     return vmask, tuple(out)
 
 
-def _component_mask(edges: tuple) -> int:
-    """Vertex mask of the connected component containing the first edge."""
-    comp = edges[0]
-    pending = list(edges[1:])
-    changed = True
-    while changed:
-        changed = False
-        rest = []
-        for e in pending:
-            if e & comp:
-                comp |= e
-                changed = True
-            else:
-                rest.append(e)
-        pending = rest
-    return comp
+def _components(edges) -> list:
+    """Vertex masks of the connected components of a nonempty edge list,
+    merged edge by edge.  The component the last edge joined is kept
+    apart, so an edge that meets only it, or nothing, costs O(1) mask
+    operations; only an edge meeting an older component rescans them."""
+    done = []
+    older = 0  # union of done
+    cur = edges[0]
+    for e in edges[1:]:
+        if e & older:
+            done.append(cur)
+            keep = []
+            for c in done:
+                if c & e:
+                    e |= c
+                else:
+                    keep.append(c)
+            done = keep
+            older = _cover(done)
+            cur = e
+        elif e & cur:
+            cur |= e
+        else:
+            done.append(cur)
+            older |= cur
+            cur = e
+    done.append(cur)
+    return done
+
+
+def _relabelled(vmask: int, edges: tuple) -> tuple:
+    """The compact state renumbered in breadth-first order.
+
+    The search starts at the first vertex of least degree and takes
+    neighbours in label order; when it runs out it restarts at the next
+    unseen vertex of least degree, so disconnected states are covered.
+    Returns the key unchanged when that order is the identity."""
+    k = vmask.bit_length()
+    degree = [0] * k
+    nbrs = [0] * k
+    for e in edges:
+        m = e
+        while m:
+            b = (m & -m).bit_length() - 1
+            degree[b] += 1
+            nbrs[b] |= e
+            m &= m - 1
+    order = []
+    seen = 0
+    for s in sorted(range(k), key=degree.__getitem__):
+        if seen >> s & 1:
+            continue
+        seen |= 1 << s
+        i = len(order)
+        order.append(s)
+        while i < len(order):
+            m = nbrs[order[i]] & ~seen
+            seen |= m
+            while m:
+                order.append((m & -m).bit_length() - 1)
+                m &= m - 1
+            i += 1
+    if order == list(range(k)):
+        return vmask, edges
+    bit = [0] * k
+    for new, old in enumerate(order):
+        bit[old] = 1 << new
+    out = []
+    for e in edges:
+        r = 0
+        while e:
+            r |= bit[(e & -e).bit_length() - 1]
+            e &= e - 1
+        out.append(r)
+    out.sort()
+    return vmask, tuple(out)
 
 
 def _query(method):
@@ -232,21 +306,28 @@ class PsiSolver:
         assert lo == hi, "full-window search must be exact"
         return lo
 
+    def _entry(self, vmask: int, edges: tuple) -> list:
+        """The table's [lo, hi] for a state, made on first sight."""
+        key = (vmask, edges)
+        ent = self.table.get(key)
+        if ent is None:
+            ent = self.table[key] = self._new_entry(vmask, edges)
+        return ent
+
     def _new_entry(self, vmask: int, edges: tuple) -> list:
         if vmask == 0:
             return [0, 0]
         if not edges:
             return [INF, INF]
-        if vmask & ~_cover(edges):
+        comps = _components(edges)
+        if vmask & ~_cover(comps):
             return [INF, INF]
-        if self.decompose_components and len(edges) > 1:
-            comp = _component_mask(edges)
-            if comp != vmask:
-                inside = _compact(comp, [e for e in edges if e & comp])
-                outside = _compact(vmask & ~comp, [e for e in edges if not e & comp])
-                v = self._val(*inside) + self._val(*outside)
-                return [v, v]
-        return [-1, INF]
+        if self.decompose_components and len(comps) > 1:
+            v = sum(self._val(*_compact(c, [e for e in edges if e & c])) for c in comps)
+            return [v, v]
+        # an unsettled state shares the entry of its relabelled key, a
+        # proven fact about every isomorphic state (module docstring)
+        return self.table.setdefault(_relabelled(vmask, edges), [-1, INF])
 
     def _contract_value(self, vmask: int, edges: tuple, i: int) -> ExtNat:
         """psi of the contraction residual by the i-th edge."""
@@ -283,25 +364,16 @@ class PsiSolver:
         """Exact value by preserving deletions; see the module docstring
         for the assumption this mode adds and how each step certifies
         its precondition."""
-        key = (vmask, edges)
-        ent = self.table.get(key)
-        if ent is not None and ent[0] == ent[1]:
+        ent = self._entry(vmask, edges)
+        if ent[0] == ent[1]:
             return ent[0]
         v = self._descend(vmask, edges)
-        ent = self.table.get(key)
-        if ent is None:
-            self.table[key] = [v, v]
-        else:
-            # window bounds and descent values must agree
-            assert ent[0] <= v <= ent[1]
-            ent[0] = v
-            ent[1] = v
+        # window bounds and descent values must agree
+        assert ent[0] <= v <= ent[1]
+        ent[0] = ent[1] = v
         return v
 
     def _descend(self, vmask: int, edges: tuple) -> ExtNat:
-        lo, hi = self._new_entry(vmask, edges)
-        if lo == hi:
-            return lo
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceeded(f"psi node budget {self.budget} exhausted")
@@ -332,11 +404,7 @@ class PsiSolver:
         if psi >= beta then lo >= beta; if alpha < psi < beta then
         lo == hi == psi.
         """
-        key = (vmask, edges)
-        ent = self.table.get(key)
-        if ent is None:
-            ent = self._new_entry(vmask, edges)
-            self.table[key] = ent
+        ent = self._entry(vmask, edges)
         lo, hi = ent[0], ent[1]
         if lo == hi or lo >= beta or hi <= alpha:
             return (lo, hi)

@@ -1,5 +1,6 @@
 """Exact reduced homology through integer Smith normal form."""
 
+import itertools
 import random
 
 from hyperconn import (
@@ -23,6 +24,39 @@ RP2_FACETS = [
     (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
     (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
 ]
+
+
+def connected_sum(A, B):
+    """A # B of two triangulated surfaces: B's first facet is glued onto
+    A's first facet, both are removed, and B's other vertices are moved
+    past A's."""
+    off = max(map(max, A))
+    image = {v: v + off for f in B for v in f}
+    image.update(zip(B[0], A[0]))
+    return A[1:] + [tuple(image[v] for v in f) for f in B[1:]]
+
+
+def suspension(A):
+    """The facets of A joined with each of two new apex vertices."""
+    n = max(map(max, A))
+    return [f + (a,) for f in A for a in (n + 1, n + 2)]
+
+
+def moore_space(m):
+    """A disk whose boundary wraps m times around the triangle 1 2 3, so
+    H_1 = Z/m: a 3m-gon, an annulus to an inner 3m-cycle, a cone on vertex 4."""
+    k = 3 * m
+    ring = [i % 3 + 1 for i in range(k)]
+    inner = [5 + i for i in range(k)]
+    facets = []
+    for i in range(k):
+        j = (i + 1) % k
+        facets += [
+            (ring[i], ring[j], inner[i]),
+            (ring[j], inner[i], inner[j]),
+            (inner[i], inner[j], 4),
+        ]
+    return facets
 
 
 def sparse(mat):
@@ -136,3 +170,34 @@ class TestAgainstRationalOracle:
             for k, b in expect.items():
                 assert prof.betti_at(k) == b
             assert prof.torsion == oracles.torsion(d.faces()), pool
+
+    def test_complexes_with_torsion(self):
+        # Klein bottle, RP^2 # RP^2 # RP^2, the suspension of RP^2 (Z/2 in
+        # dimension 2), Moore spaces for Z/3 and Z/4, and seeded unions of
+        # RP^2 or the Z/3 space with random triangles on vertices 1..9 that
+        # keep some torsion
+        klein = connected_sum(RP2_FACETS, RP2_FACETS)
+        pool = [
+            (klein, {1: (2,)}),
+            (connected_sum(klein, RP2_FACETS), {1: (2,)}),
+            (suspension(RP2_FACETS), {2: (2,)}),
+            (moore_space(3), {1: (3,)}),
+            (moore_space(4), {1: (4,)}),
+        ]
+        rng = random.Random(19)
+        triangles = list(itertools.combinations(range(1, 10), 3))
+        bases = [RP2_FACETS, moore_space(3)]
+        for _ in range(24):
+            facets = rng.choice(bases) + rng.sample(triangles, rng.randint(1, 6))
+            faces = SimplicialComplex(facets).faces()
+            if oracles.torsion(faces):
+                pool.append((facets, None))
+        assert len(pool) >= 15
+        for facets, torsion in pool:
+            d = SimplicialComplex(facets)
+            prof = reduced_homology(d)
+            expect = oracles.torsion(d.faces())
+            assert expect == (torsion or expect), facets
+            assert prof.torsion == expect, facets
+            for k, b in oracles.betti_numbers(d.faces()).items():
+                assert prof.betti_at(k) == b, (facets, k)

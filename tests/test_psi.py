@@ -23,7 +23,7 @@ from hyperconn import (
 )
 from hyperconn.fixtures import cycle_hypergraph, path_hypergraph
 from hyperconn.generators import random_hypergraph
-from hyperconn.psi import _encode
+from hyperconn.psi import _encode, _relabelled
 
 
 def small_pool(seed, count, max_vertices=7, max_edges=5):
@@ -88,7 +88,9 @@ class TestPinnedValues:
 
 class TestClosedForms:
     def test_cycles(self):
-        for n in range(3, 25):
+        # conn_h(Ind(C_n)) + 2, from Kozlov's homotopy types of Ind(C_n)
+        # ("Complexes of directed trees", J. Combin. Theory A 88, 1999)
+        for n in (*range(3, 25), 60, 90, 120):
             assert psi(cycle_hypergraph(n)) == -(-(n - 1) // 3), n
 
     def test_paths(self):
@@ -178,6 +180,72 @@ class TestCompactKeys:
         assert s.nodes == nodes
 
 
+def beside(A, B):
+    """The disjoint union of A and a copy of B on labels above A's."""
+    off = max(A.vertices, default=0) + 1 - min(B.vertices, default=1)
+    return disjoint_union(A, Hypergraph(
+        (v + off for v in B.vertices),
+        [frozenset(v + off for v in e) for e in B.edges],
+    ))
+
+
+def relabel(H, rng):
+    """H on its vertices permuted at random."""
+    vs = sorted(H.vertices)
+    image = dict(zip(vs, rng.sample(vs, len(vs))))
+    return Hypergraph(vs, [{image[v] for v in e} for e in H.edges])
+
+
+def isomorphic(k, A, B):
+    """Whether a permutation of bits 0..k-1 maps the edge masks A onto B."""
+    def degrees(E):
+        return [sum(e >> v & 1 for e in E) for v in range(k)]
+
+    da, db, target = degrees(A), degrees(B), set(B)
+
+    def extend(p):
+        if len(p) == k:
+            return {sum(1 << p[b] for b in range(k) if e >> b & 1) for e in A} == target
+        return any(
+            extend(p + [j]) for j in range(k) if j not in p and db[j] == da[len(p)]
+        )
+
+    return len(A) == len(B) and extend([])
+
+
+class TestIsomorphicSharing:
+    def test_shuffled_path_adds_no_nodes(self):
+        s = PsiSolver()
+        assert psi(path_hypergraph(30), solver=s) == 10
+        nodes = s.nodes
+        order = list(range(1, 31))
+        random.Random(41).shuffle(order)
+        H = Hypergraph(order, [{a, b} for a, b in zip(order, order[1:])])
+        assert psi(H, solver=s) == 10
+        assert s.nodes == nodes
+
+    def test_relabelled_is_a_bijection(self):
+        pool = small_pool(23, 150)
+        parts = small_pool(42, 40, max_vertices=4, max_edges=3)
+        pool += [beside(A, B) for A, B in zip(parts[::2], parts[1::2])]
+        for H in pool:
+            vmask, edges = _encode(H)[:2]
+            out_mask, out = _relabelled(vmask, edges)
+            assert out_mask == vmask
+            assert list(out) == sorted(out)
+            assert sorted(map(int.bit_count, out)) == sorted(map(int.bit_count, edges))
+            assert isomorphic(vmask.bit_length(), edges, out)
+
+    @pytest.mark.parametrize("decompose", [True, False])
+    def test_relabelled_copies_agree_with_naive(self, decompose):
+        rng = random.Random(43)
+        s = PsiSolver(decompose_components=decompose)
+        for H in small_pool(23, 150):
+            v = psi_naive(H)
+            assert psi(relabel(H, rng), solver=s) == v
+            assert psi(H, solver=s) == v
+
+
 class TestSolverAgreement:
     def test_matches_naive_on_small_pool(self):
         for H in small_pool(23, 150):
@@ -203,12 +271,7 @@ class TestStructuralLaws:
         for _ in range(30):
             A = rng.choice(pool)
             B = rng.choice(pool)
-            off = max(A.vertices, default=0) + 1 - min(B.vertices, default=1)
-            B = Hypergraph(
-                (v + off for v in B.vertices),
-                [frozenset(v + off for v in e) for e in B.edges],
-            )
-            assert psi(disjoint_union(A, B)) == psi(A) + psi(B)
+            assert psi(beside(A, B)) == psi(A) + psi(B)
 
     def test_value_bounded_by_order_when_finite(self):
         for H in small_pool(28, 80):
@@ -268,13 +331,14 @@ class TestResources:
         with pytest.raises(BudgetExceeded) as info:
             psi(d_complete(6, 2), budget=2)
         assert info.value.bounds == (0, INF)
-        # on C_30 the first root child already proves the value as a lower
-        # bound before the budget runs out
-        s = PsiSolver(budget=50)
+        # on the tight cycle T_14 (value 7) the first root child proves the
+        # value as a lower bound after 383 of the search's 675 nodes
+        H = tight_cycle(14)
+        s = PsiSolver(budget=500)
         with pytest.raises(BudgetExceeded) as info:
-            psi_witness(cycle_hypergraph(30), solver=s)
-        assert info.value.bounds == (10, INF)
-        assert s.table[_encode(cycle_hypergraph(30))[:2]] == [10, INF]
+            psi_witness(H, solver=s)
+        assert info.value.bounds == (7, INF)
+        assert s.table[_encode(H)[:2]] == [7, INF]
 
     def test_deep_recursion_raises_resource_error(self):
         H = path_hypergraph(400)
