@@ -23,7 +23,7 @@ witness = properly_splitted_witness(H)
 print(f"  properly splitted: {witness is not None}")
 print(f"  split order found: {len(witness.edge_sequence())} steps")
 
-value = psi(H, cap_preservation=True)
+value = psi(H)
 print(f"  connectivity value: {value}")
 
 apex = max(H.vertices) + 1
@@ -31,7 +31,7 @@ joined = Hypergraph(
     set(H.vertices) | {apex},
     [set(E) | {apex} for E in H.edges],
 )
-value_joined = psi(joined, cap_preservation=True)
+value_joined = psi(joined)
 print(f"  after joining an apex vertex to every edge: {value_joined}")
 print()
 print(f"the jump {value} -> {value_joined} shows the splitting bound can be strict.")

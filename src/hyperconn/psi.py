@@ -21,13 +21,14 @@ antichain to an antichain (it is a bijection that keeps inclusion both
 ways); the search visits children in the same order as it would on
 uncompacted states.
 
-Isomorphic states share one table entry.  A state that does not settle at
-once (base case, isolated vertex, component split) is renumbered in
-breadth-first order (_relabelled), and its key aliases the entry of that
-relabelled key.  This needs no canonical form: two states with equal
-relabelled keys are both isomorphic to the hypergraph that key stands for,
-psi is defined structurally, so it does not change under relabelling, and
-so every stored [lo, hi] is a proven fact about every state sharing it.
+Isomorphic states share one table entry.  A state that is neither a base
+case nor has an isolated vertex, and is not split into components, is
+renumbered in breadth-first order (_relabelled), and its key aliases the
+entry of that relabelled key.  This needs no canonical form: two states
+with equal relabelled keys are both isomorphic to the hypergraph that key
+stands for, psi is defined structurally, so it does not change under
+relabelling, and so every stored [lo, hi] is a proven fact about every
+state sharing it.
 Isomorphic states may still get different relabelled keys; they then only
 share less.  No state shares an entry with one of its ancestors in the
 search, since every child has fewer edges on the same vertices or fewer
@@ -70,39 +71,19 @@ induction (deletion and contraction commute with them edge by edge):
   recursion leaf below it is the edgeless-on-nonempty base;
 * psi adds up over connected components (every child splits the same way,
   and min/max distribute over the per-component sum).  _components finds
-  them in one pass over the edges, and a state of several components is
-  settled as the sum of its compacted components' exact values.
+  them in one pass over the edges.  When a state of several components is
+  first met, every component but one with the most edges is solved
+  exactly (sum v; an infinite v settles the state), and the entry keeps v
+  and that last compacted component.  The search then searches the last
+  one with the window (alpha - v, beta - v); its bounds plus v are the
+  state's, and the window contract carries over through the sum.
 
 psi_naive is a direct transcription of the recursion with no table, no
 ordering, no cuts and no shortcuts, kept as an independent oracle; the
 test suite pins the two against each other on pools that include isolated
-vertices and disconnected instances.
-
-Descent mode (cap_preservation=True) switches to a single-path algorithm
-for instances whose deletion lattice is too large for the window search.
-It rests on one extra reduction step, stated for an edge F of C with
-capped branch value cap_F = psi(C:F) + |F| - 1:
-
-    if cap_F exceeds psi(C), or cap_F is infinite, then
-    psi(C - F) = psi(C).
-
-The <= direction when psi(C) is finite is a theorem (a larger deletion
-value would push the min term for F, and hence the max, above psi(C)).
-The >= direction is an assumption validated on tens of thousands of
-random instances with zero violations; it is off by default and every
-result produced with it on is cross-checked against psi_naive in the
-test suite.  Each descent step certifies its precondition at run time:
-
-* all capped branches finite with maximum M: psi <= M always holds, and
-  a window probe decides psi >= M.  A positive probe returns M exactly
-  with no assumption used; a negative probe proves psi < M = cap of the
-  chosen edge, so the deletion step applies;
-* some capped branch infinite: the precondition is vacuous (either psi
-  is finite and the cap exceeds it, or psi is infinite and deleting the
-  edge keeps it infinite, the validated infinite case).
-
-Each step removes one edge, so the walk ends at a base case or at an
-all-finite state settled by the probe.
+vertices and disconnected instances.  The recursion is the one of Aharoni,
+Berger and Ziv ("Independent systems of representatives in weighted
+graphs", Combinatorica 27, 2007), which defines the graph case.
 """
 
 from __future__ import annotations
@@ -110,7 +91,7 @@ from __future__ import annotations
 import functools
 import operator
 
-from .errors import BudgetExceeded, DepthExceeded
+from .errors import BudgetExceeded, DepthExceeded, ValidationError
 from .extnat import INF, ExtNat
 from .hypergraph import Hypergraph
 from .limits import psi_budget
@@ -238,17 +219,25 @@ def _query(method):
     cutoff carries the [lo, hi] it had proven for C (psi >= 0 always)."""
 
     @functools.wraps(method)
-    def guarded(self, C: Hypergraph):
+    def guarded(self, C: Hypergraph, *args):
         try:
-            return method(self, C)
+            return method(self, C, *args)
         except RecursionError:
             raise DepthExceeded("recursion depth exceeded") from None
         except BudgetExceeded as exc:
-            lo, hi = self.table.get(_encode(C)[:2], (0, INF))
-            exc.bounds = (max(lo, 0), hi)
+            ent = self.table.get(_encode(C)[:2], (0, INF))
+            exc.bounds = (max(ent[0], 0), ent[1])
             raise
 
     return guarded
+
+
+def _no_descent(cap_preservation: bool) -> None:
+    """The keyword is kept for old callers; only False is accepted."""
+    if cap_preservation:
+        raise ValidationError(
+            "cap_preservation: descent mode was removed; psi is always exact"
+        )
 
 
 class PsiSolver:
@@ -260,17 +249,28 @@ class PsiSolver:
         decompose_components: bool = True,
         cap_preservation: bool = False,
     ):
+        _no_descent(cap_preservation)
         self.budget = psi_budget(budget)
         self.nodes = 0
         self.decompose_components = decompose_components
-        self.cap_preservation = bool(cap_preservation)
-        # (vertex mask, edge mask tuple) -> [lo, hi]
+        # (vertex mask, edge mask tuple) -> [lo, hi], or [lo, hi, v, last]
+        # for a state split into components: v is the exact sum of all but
+        # the compacted component last
         self.table: dict[tuple, list] = {}
 
     @_query
     def value(self, C: Hypergraph) -> ExtNat:
         vmask, edges, _fmasks = _encode(C)
         return self._val(vmask, edges)
+
+    @_query
+    def at_least(self, C: Hypergraph, k: ExtNat) -> bool:
+        """Whether psi(C) >= k, decided by the window (k - 1, k)."""
+        vmask, edges, _fmasks = _encode(C)
+        if k == INF:
+            # no finite window separates INF
+            return self._val(vmask, edges) == INF
+        return self._search(vmask, edges, k - 1, k)[0] >= k
 
     @_query
     def argmax_edge(self, C: Hypergraph):
@@ -282,26 +282,22 @@ class PsiSolver:
         v = self._val(vmask, edges)
         # F attains v exactly when both branches of its min reach v, since
         # no edge's min exceeds the max.  The window probe (v - 1, v) decides
-        # the deletion branch; v = INF has no such window, and descent mode
-        # evaluates the branch exactly
-        exact = v == INF or self.cap_preservation
+        # the deletion branch; v = INF has no such window, so the branch is
+        # evaluated exactly
         for F, fmask in zip(C.edges, fmasks):
             i = edges.index(fmask)
             rest = edges[:i] + edges[i + 1 :]
             m1 = self._contract_value(vmask, edges, i) + len(F) - 1
             if m1 >= v and (
                 self._val(vmask, rest) >= v
-                if exact
+                if v == INF
                 else self._search(vmask, rest, v - 1, v)[0] >= v
             ):
                 return F
         raise AssertionError("no argmax edge found")
 
     def _val(self, vmask: int, edges: tuple) -> ExtNat:
-        """Exact value: descent when the preserving-deletion step is
-        enabled, otherwise the proven full-window search."""
-        if self.cap_preservation:
-            return self._value_descent(vmask, edges)
+        """Exact value: the search with the full window."""
         lo, hi = self._search(vmask, edges, -1, INF)
         assert lo == hi, "full-window search must be exact"
         return lo
@@ -323,8 +319,12 @@ class PsiSolver:
         if vmask & ~_cover(comps):
             return [INF, INF]
         if self.decompose_components and len(comps) > 1:
-            v = sum(self._val(*_compact(c, [e for e in edges if e & c])) for c in comps)
-            return [v, v]
+            parts = [_compact(c, [e for e in edges if e & c]) for c in comps]
+            # a component with the most edges goes last: only it is
+            # searched with a window (module docstring)
+            parts.sort(key=lambda p: len(p[1]))
+            v = sum(self._val(*p) for p in parts[:-1])
+            return [INF, INF] if v == INF else [-1, INF, v, parts[-1]]
         # an unsettled state shares the entry of its relabelled key, a
         # proven fact about every isomorphic state (module docstring)
         return self.table.setdefault(_relabelled(vmask, edges), [-1, INF])
@@ -360,43 +360,6 @@ class PsiSolver:
         assert not _cover(cedges) & ~vp
         return self._val(*_compact(vp, cedges))
 
-    def _value_descent(self, vmask: int, edges: tuple) -> ExtNat:
-        """Exact value by preserving deletions; see the module docstring
-        for the assumption this mode adds and how each step certifies
-        its precondition."""
-        ent = self._entry(vmask, edges)
-        if ent[0] == ent[1]:
-            return ent[0]
-        v = self._descend(vmask, edges)
-        # window bounds and descent values must agree
-        assert ent[0] <= v <= ent[1]
-        ent[0] = ent[1] = v
-        return v
-
-    def _descend(self, vmask: int, edges: tuple) -> ExtNat:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceeded(f"psi node budget {self.budget} exhausted")
-        best_cap = -1
-        best_i = -1
-        for i, f in enumerate(edges):
-            cap = self._contract_value(vmask, edges, i) + f.bit_count() - 1
-            if cap == INF:
-                # an infinite capped branch makes its deletion preserving
-                # whether the value is finite or not
-                return self._value_descent(vmask, edges[:i] + edges[i + 1 :])
-            if cap > best_cap:
-                best_cap = cap
-                best_i = i
-        # every capped branch is finite, so the value is at most best_cap;
-        # the window probe decides whether it is attained
-        lo, _hi = self._search(vmask, edges, best_cap - 1, best_cap)
-        if lo >= best_cap:
-            return best_cap
-        # the probe proved the value below best_cap, so deleting the
-        # maximizing edge is preserving
-        return self._value_descent(vmask, edges[: best_i] + edges[best_i + 1 :])
-
     def _search(self, vmask: int, edges: tuple, alpha: ExtNat, beta: ExtNat) -> tuple:
         """Window evaluation returning proven bounds (lo, hi).
 
@@ -408,6 +371,11 @@ class PsiSolver:
         lo, hi = ent[0], ent[1]
         if lo == hi or lo >= beta or hi <= alpha:
             return (lo, hi)
+        if len(ent) > 2:
+            v, last = ent[2], ent[3]
+            lo, hi = self._search(*last, alpha - v, beta - v)
+            ent[0], ent[1] = v + lo, v + hi
+            return (ent[0], ent[1])
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceeded(f"psi node budget {self.budget} exhausted")
@@ -445,7 +413,8 @@ def psi(
     cap_preservation: bool = False,
 ) -> ExtNat:
     """Exact value of the recursive invariant (0, positive int, or INF)."""
-    s = solver if solver is not None else PsiSolver(budget, cap_preservation=cap_preservation)
+    _no_descent(cap_preservation)
+    s = solver if solver is not None else PsiSolver(budget)
     return s.value(C)
 
 
@@ -460,7 +429,8 @@ def psi_witness(
     The witness is the first edge in canonical order whose min matches the
     value, so it is deterministic.
     """
-    s = solver if solver is not None else PsiSolver(budget, cap_preservation=cap_preservation)
+    _no_descent(cap_preservation)
+    s = solver if solver is not None else PsiSolver(budget)
     return (s.value(C), s.argmax_edge(C))
 
 

@@ -145,9 +145,8 @@ def _check_ground_truth(payload):
     H = _from_text(payload["instance"])
     a = psi(H)
     b = psi_naive(H)
-    c = psi(H, cap_preservation=True)
-    if not a == b == c:
-        return _fail(1, f"solver disagreement: window={a} naive={b} descent={c}")
+    if a != b:
+        return _fail(1, f"solver disagreement: window={a} naive={b}")
     if payload["expect"] is not None and a != parse_ext(payload["expect"]):
         return _fail(2, f"expected {payload['expect']}, computed {a}")
     return _ok(2)
@@ -436,7 +435,9 @@ def _check_triangulated(payload):
 
 
 # ---------------------------------------------------------------------------
-# splitting-family suite: the two pinned values of the gap family
+# splitting-family suite: the two pinned values of the gap family, each
+# certified as a closed interval.  The window probe proves the lower end; the
+# conn-bound theorem, psi <= conn_h(Ind) + 2, gives the upper end.
 
 
 def _gen_splitting_family(rng, samples, max_vertices):
@@ -444,18 +445,21 @@ def _gen_splitting_family(rng, samples, max_vertices):
 
 
 def _check_splitting_family(payload):
-    H = build_counterexample_family(payload["k"])
-    p = psi(H, cap_preservation=True)
-    if p != 2:
-        return _fail(1, f"family value {p} != 2")
-    m = max(H.vertices)
+    F = build_counterexample_family(payload["k"])
+    m = max(F.vertices)
     joined = Hypergraph(
-        set(H.vertices) | {m + 1, m + 2},
-        list(H.edges) + [frozenset({m + 1, m + 2})],
+        set(F.vertices) | {m + 1, m + 2},
+        list(F.edges) + [frozenset({m + 1, m + 2})],
     )
-    p2 = psi(joined, cap_preservation=True)
-    if p2 != 3:
-        return _fail(2, f"family plus an edge has value {p2} != 3")
+    # one solver, so the F component of the join reuses F's entry
+    solver = PsiSolver()
+    pinned = [("family", F, 2), ("family plus an edge", joined, 3)]
+    for checks, (name, H, value) in enumerate(pinned, 1):
+        if not solver.at_least(H, value):
+            return _fail(checks, f"{name}: window probe psi >= {value} failed")
+        top = conn_h(independence_complex(H)) + 2
+        if top > value:
+            return _fail(checks, f"{name}: upper end conn_h + 2 = {top} > {value}")
     return _ok(2)
 
 

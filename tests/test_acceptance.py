@@ -10,6 +10,7 @@ import time
 
 from hyperconn import (
     Hypergraph,
+    PsiSolver,
     build_counterexample_family,
     psi,
     reduced_homology,
@@ -126,15 +127,21 @@ def test_criterion_09_triangulated_homotopy():
 def test_criterion_10_gap_family_values():
     start = time.perf_counter()
     r = run_suite("splitting-family", seed=SEED)
-    # the suite asserts psi(family(3)) == 2 and == 3 after adding an edge;
-    # recompute here so the acceptance stands on its own
+    # the suite certifies psi(family(3)) == 2 and == 3 after adding an edge
+    # by window probes and conn_h + 2; recompute both here by the exact
+    # search, on one shared solver, so the acceptance stands on its own
     F = build_counterexample_family(3)
-    assert psi(F, cap_preservation=True) == 2
+    solver = PsiSolver()
+    assert psi(F, solver=solver) == 2
     m = max(F.vertices)
     joined = Hypergraph(
         set(F.vertices) | {m + 1, m + 2},
         list(F.edges) + [frozenset({m + 1, m + 2})],
     )
-    assert psi(joined, cap_preservation=True) == 3
+    assert psi(joined, solver=solver) == 3
+    # the apex variant of PAPER.md and demo 06: one new vertex joins every
+    # edge, and the value rises to 3
+    apex = Hypergraph(set(F.vertices) | {m + 1}, [E | {m + 1} for E in F.edges])
+    assert psi(apex, solver=solver) == 3
     elapsed = time.perf_counter() - start
     _report(10, "gap-family-values", r, elapsed)

@@ -14,6 +14,8 @@ from hyperconn import (
     Hypergraph,
     INF,
     PsiSolver,
+    ValidationError,
+    build_counterexample_family,
     d_complete,
     degree_bound,
     disjoint_union,
@@ -76,14 +78,19 @@ PINNED_LARGE = [
 class TestPinnedValues:
     @pytest.mark.parametrize("H,expect", PINNED)
     def test_all_three_solvers(self, H, expect):
+        # the window search with and without the component split, and
+        # the plain recursion
         assert psi(H) == expect
+        assert psi(H, solver=PsiSolver(decompose_components=False)) == expect
         assert psi_naive(H) == expect
-        assert psi(H, cap_preservation=True) == expect
 
     @pytest.mark.parametrize("H,expect", PINNED_LARGE)
     def test_two_solvers_large(self, H, expect):
+        # the exact search, and the window probes at and above the value
         assert psi(H) == expect
-        assert psi(H, cap_preservation=True) == expect
+        s = PsiSolver()
+        assert s.at_least(H, expect)
+        assert expect == INF or not s.at_least(H, expect + 1)
 
 
 class TestClosedForms:
@@ -249,9 +256,19 @@ class TestIsomorphicSharing:
 class TestSolverAgreement:
     def test_matches_naive_on_small_pool(self):
         for H in small_pool(23, 150):
+            assert psi(H) == psi_naive(H)
+
+    @pytest.mark.parametrize("decompose", [True, False])
+    def test_at_least_matches_naive(self, decompose):
+        pool = small_pool(31, 80)
+        parts = small_pool(32, 40, max_vertices=5, max_edges=3)
+        pool += [beside(A, B) for A, B in zip(parts[::2], parts[1::2])]
+        for H in pool:
             v = psi_naive(H)
-            assert psi(H) == v
-            assert psi(H, cap_preservation=True) == v
+            s = PsiSolver(decompose_components=decompose)
+            assert s.at_least(H, v)
+            assert v == INF or not s.at_least(H, v + 1)
+            assert psi(H, solver=s) == v
 
     def test_no_decomposition_matches(self):
         for H in small_pool(24, 60):
@@ -302,19 +319,45 @@ class TestWitness:
 
 
 class TestSolverLifetime:
-    @pytest.mark.parametrize("cap_preservation", [False, True])
-    def test_freed_by_reference_counting(self, cap_preservation):
+    @pytest.mark.parametrize("decompose", [False, True])
+    def test_freed_by_reference_counting(self, decompose):
         # a solver holding a reference to itself would outlive its last
-        # name, table included, until a full collection
+        # name, table included, until a full collection; split entries
+        # hold their components' keys, not their entries
         gc.disable()
         try:
-            s = PsiSolver(cap_preservation=cap_preservation)
-            psi_witness(cycle_hypergraph(9), solver=s)
+            s = PsiSolver(decompose_components=decompose)
+            psi_witness(beside(cycle_hypergraph(9), path_hypergraph(5)), solver=s)
             ref = weakref.ref(s)
             del s
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestSplitWindow:
+    def test_family_plus_an_edge_within_budget(self):
+        # F + K2 splits at the root and at each deletion child that the
+        # witness probes with the window (2, 3): K2 is solved exactly and
+        # the F side is searched with the window shifted by 1, where an
+        # exact solve of every F - e would exhaust the budget
+        F = build_counterexample_family(3)
+        m = max(F.vertices)
+        joined = Hypergraph(
+            set(F.vertices) | {m + 1, m + 2},
+            list(F.edges) + [frozenset({m + 1, m + 2})],
+        )
+        assert psi_witness(joined, solver=PsiSolver(budget=5_000)) == (3, {2, 9})
+
+    def test_descent_mode_is_refused(self):
+        H = cycle_hypergraph(5)
+        with pytest.raises(ValidationError, match="descent mode was removed"):
+            psi(H, None, None, True)
+        with pytest.raises(ValidationError, match="descent mode was removed"):
+            psi_witness(H, cap_preservation=True)
+        with pytest.raises(ValidationError, match="descent mode was removed"):
+            PsiSolver(cap_preservation=True)
+        assert psi(H, None, None, False) == 2
 
 
 class TestResources:
