@@ -15,6 +15,7 @@ from hyperconn import (
 )
 from hyperconn.fixtures import lutz_acyclic_complex
 from hyperconn.generators import random_hypergraph
+from hyperconn.homology import _eliminate
 
 import oracles
 
@@ -100,6 +101,44 @@ class TestSmith:
             assert oracles.invariant_factors_by_elimination(mat) == expect, mat
 
 
+def torsion_pool():
+    """(facets, torsion) pairs: the Klein bottle, RP^2 # RP^2 # RP^2, the
+    suspension of RP^2 (Z/2 in dimension 2), Moore spaces for Z/3 and Z/4,
+    and seeded unions of RP^2 or the Z/3 space with random triangles on
+    vertices 1..9 that keep some torsion (torsion None: read the oracle)."""
+    klein = connected_sum(RP2_FACETS, RP2_FACETS)
+    pool = [
+        (klein, {1: (2,)}),
+        (connected_sum(klein, RP2_FACETS), {1: (2,)}),
+        (suspension(RP2_FACETS), {2: (2,)}),
+        (moore_space(3), {1: (3,)}),
+        (moore_space(4), {1: (4,)}),
+    ]
+    rng = random.Random(19)
+    triangles = list(itertools.combinations(range(1, 10), 3))
+    bases = [RP2_FACETS, moore_space(3)]
+    for _ in range(24):
+        facets = rng.choice(bases) + rng.sample(triangles, rng.randint(1, 6))
+        faces = SimplicialComplex(facets).faces()
+        if oracles.torsion(faces):
+            pool.append((facets, None))
+    return pool
+
+
+def random_complexes(seed):
+    """35 seeded complexes of random facets on at most 6 vertices."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(35):
+        n = rng.randint(1, 6)
+        pool = [
+            frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            for _ in range(rng.randint(1, 7))
+        ]
+        out.append(SimplicialComplex(pool))
+    return out
+
+
 class TestKnownSpaces:
     def test_spheres(self):
         for n in range(2, 6):
@@ -157,41 +196,15 @@ class TestAgainstRationalOracle:
 
     def test_random_subcomplexes(self):
         # non-independence complexes: random facet families
-        rng = random.Random(18)
-        for _ in range(35):
-            n = rng.randint(1, 6)
-            pool = [
-                frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
-                for _ in range(rng.randint(1, 7))
-            ]
-            d = SimplicialComplex(pool)
+        for d in random_complexes(18):
             prof = reduced_homology(d)
             expect = oracles.betti_numbers(d.faces())
             for k, b in expect.items():
                 assert prof.betti_at(k) == b
-            assert prof.torsion == oracles.torsion(d.faces()), pool
+            assert prof.torsion == oracles.torsion(d.faces()), d.facets
 
     def test_complexes_with_torsion(self):
-        # Klein bottle, RP^2 # RP^2 # RP^2, the suspension of RP^2 (Z/2 in
-        # dimension 2), Moore spaces for Z/3 and Z/4, and seeded unions of
-        # RP^2 or the Z/3 space with random triangles on vertices 1..9 that
-        # keep some torsion
-        klein = connected_sum(RP2_FACETS, RP2_FACETS)
-        pool = [
-            (klein, {1: (2,)}),
-            (connected_sum(klein, RP2_FACETS), {1: (2,)}),
-            (suspension(RP2_FACETS), {2: (2,)}),
-            (moore_space(3), {1: (3,)}),
-            (moore_space(4), {1: (4,)}),
-        ]
-        rng = random.Random(19)
-        triangles = list(itertools.combinations(range(1, 10), 3))
-        bases = [RP2_FACETS, moore_space(3)]
-        for _ in range(24):
-            facets = rng.choice(bases) + rng.sample(triangles, rng.randint(1, 6))
-            faces = SimplicialComplex(facets).faces()
-            if oracles.torsion(faces):
-                pool.append((facets, None))
+        pool = torsion_pool()
         assert len(pool) >= 15
         for facets, torsion in pool:
             d = SimplicialComplex(facets)
@@ -201,3 +214,59 @@ class TestAgainstRationalOracle:
             assert prof.torsion == expect, facets
             for k, b in oracles.betti_numbers(d.faces()).items():
                 assert prof.betti_at(k) == b, (facets, k)
+
+
+def cleared_diagonals(faces):
+    """Pairs (Smith diagonal of the k-th boundary matrix with the columns
+    cleared one dimension up left out, invariant factors of the whole
+    matrix), for k from the top dimension down to 0, as reduced_homology
+    clears them."""
+    out = []
+    cleared = set()
+    for k in range(max(map(len, faces)) - 1, -1, -1):
+        mat = oracles.boundary_matrix(faces, k)
+        rows = [{j: a for j, a in r.items() if j not in cleared} for r in sparse(mat)]
+        diag, cleared = _eliminate(rows)
+        out.append((diag, oracles.invariant_factors_by_elimination(mat)))
+    return out
+
+
+class TestClearing:
+    def test_lemma_on_pools(self):
+        # the dense textbook reduction stands in for the determinantal
+        # divisors of oracles.invariant_factors, which are out of reach
+        # beyond about 5 x 5 (it is checked against them in TestSmith)
+        rng = random.Random(17)
+        complexes = [SimplicialComplex(f) for f, _ in torsion_pool()]
+        complexes += random_complexes(18)
+        complexes += [
+            independence_complex(random_hypergraph(rng, 7)) for _ in range(35)
+        ]
+        for d in complexes:
+            for diag, expect in cleared_diagonals(d.faces()):
+                assert diag == expect, d.facets
+
+    def test_no_row_after_a_non_unit_pivot(self):
+        # A = (2, 3)^T and B = (3, -2) satisfy BA = 0.  Eliminating A pivots
+        # on 2 and then on the remainder 1 in row 1, but B without column 1
+        # has image 3Z, not Z: that unit must not be reported
+        assert _eliminate([{0: 2}, {0: 3}]) == ([1], set())
+        assert smith_diagonal([{0: 3, 1: -2}]) == [1]
+
+    def test_torsion_pivot_is_not_cleared(self):
+        # in M(Z/3, 1) the top boundary has 26 unit pivots and one of 3;
+        # only the unit pivots' rows are reported
+        d = SimplicialComplex(moore_space(3))
+        diag, units = _eliminate(sparse(oracles.boundary_matrix(d.faces(), 2)))
+        assert diag == [1] * 26 + [3]
+        assert len(units) == 26
+        assert reduced_homology(d).torsion == {1: (3,)}
+
+    def test_skeleton_closed_form(self):
+        # the 3-skeleton of the 12-simplex (all 4-subsets of 13 vertices,
+        # 1,093 faces) is a wedge of C(12, 4) 3-spheres
+        d = SimplicialComplex(itertools.combinations(range(1, 14), 4))
+        assert len(d.faces()) == 1093
+        prof = reduced_homology(d)
+        assert prof.betti == {k: 495 if k == 3 else 0 for k in range(-1, 4)}
+        assert prof.torsion == {}
