@@ -51,7 +51,15 @@ class SimplicialComplex:
             for v in f:
                 if not isinstance(v, int):
                     raise ValidationError(f"vertex {v!r} is not an int")
-        maximal = [f for f in cand if f and not any(f < g for g in cand)]
+        # a proper superset is larger, and each lies in a maximal one, so
+        # each size is tested against the larger maximal faces only
+        by_size: dict[int, list] = {}
+        for f in cand:
+            by_size.setdefault(len(f), []).append(f)
+        maximal: list = []
+        for k in sorted(by_size, reverse=True):
+            if k:
+                maximal += [f for f in by_size[k] if not any(f < g for g in maximal)]
         facets = tuple(sorted(maximal, key=_edge_key))
         object.__setattr__(self, "facets", facets)
         object.__setattr__(
@@ -131,30 +139,58 @@ def simplex_boundary(vertices: Iterable[int]) -> SimplicialComplex:
 def _minimal_transversals(ground, family) -> list:
     """Inclusion-minimal sets meeting every member of family, each once, by
     MMCS (Murakami and Uno, Discrete Appl. Math. 170, 2014): branch on the
-    candidates of the missed member with fewest, keeping a choice while each
-    chosen vertex alone meets some member; a branched vertex is a candidate
-    again in later branches only.  Raises CapacityExceeded above the vertex cap."""
+    candidates of the missed member with fewest, first in family order on
+    ties, in ascending order, keeping a choice while each chosen vertex
+    alone meets some member; a branched vertex is a candidate again in
+    later branches only.  Raises CapacityExceeded above the vertex cap.
+
+    Vertex i of sorted(ground) is bit i of a vertex mask, and member j is
+    bit j of an edge mask.  Each step keeps three edge masks: occ[v], the
+    members holding v; crit[u] for each chosen u, the members that u alone
+    of the chosen vertices meets; uncov, the members no chosen vertex
+    meets.  Adding v leaves crit[u] & ~occ[v] for each chosen u and gives
+    crit[v] = uncov & occ[v], so the choice stays minimal exactly when
+    every crit[u] & ~occ[v] is nonzero."""
     if len(ground) > vertex_cap():
         raise CapacityExceeded(f"{len(ground)} vertices exceeds the enumeration cap")
-    transversals = []
-    _mmcs(family, frozenset(), list(family), set(ground), transversals)
-    return transversals
+    verts = sorted(ground)
+    index = {v: i for i, v in enumerate(verts)}
+    members = [sum(1 << index[v] for v in e) for e in family]
+    occ = [0] * len(verts)
+    for j, e in enumerate(family):
+        for v in e:
+            occ[index[v]] |= 1 << j
+    found: list = []
+    _mmcs(members, occ, [], (1 << len(members)) - 1, (1 << len(verts)) - 1, found)
+    return [frozenset(verts[u] for u, _ in chosen) for chosen in found]
 
 
-def _mmcs(family, chosen: frozenset, missed: list, cand: set, out: list) -> None:
-    """One MMCS step: append to out every minimal transversal of family that
-    holds chosen and otherwise only vertices of cand."""
-    if not missed:
-        out.append(chosen)
+def _mmcs(members, occ, crit: list, uncov: int, cand: int, out: list) -> None:
+    """One MMCS step: append to out, as its (u, crit[u]) list, every minimal
+    transversal that holds the chosen vertices of crit and otherwise only
+    candidate vertices."""
+    if not uncov:
+        out.append(crit)
         return
-    F = min(missed, key=lambda e: len(e & cand))
-    branch = sorted(F & cand)
-    cand -= F
-    for v in branch:
-        t = chosen | {v}
-        if all(any(e & t == {u} for e in family) for u in chosen):
-            _mmcs(family, t, [e for e in missed if v not in e], cand, out)
-        cand.add(v)
+    # the missed member with fewest candidates, first in family order on ties
+    best, fewest = 0, cand.bit_count() + 1
+    rest = uncov
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        branch = members[low.bit_length() - 1] & cand
+        if branch.bit_count() < fewest:
+            best, fewest = branch, branch.bit_count()
+    cand &= ~best
+    while best:
+        low = best & -best
+        best ^= low
+        v = low.bit_length() - 1
+        kept = [(u, c & ~occ[v]) for u, c in crit]
+        if all(c for _, c in kept):
+            kept.append((v, uncov & occ[v]))
+            _mmcs(members, occ, kept, uncov & ~occ[v], cand, out)
+        cand |= low
 
 
 def independence_complex(C: Hypergraph) -> SimplicialComplex:

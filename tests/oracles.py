@@ -58,6 +58,32 @@ def minimal_transversals(vertices, family) -> set:
     }
 
 
+def mmcs_transversals(ground, family) -> list:
+    """Inclusion-minimal transversals of family in the order of MMCS
+    (Murakami and Uno, Discrete Appl. Math. 170, 2014) on Python sets:
+    branch on the candidates of the missed member with fewest, first in
+    family order on ties, in ascending order, keeping a choice while each
+    chosen vertex alone meets some member, which is tested by scanning the
+    whole family."""
+    transversals = []
+    _mmcs(family, frozenset(), list(family), set(ground), transversals)
+    return transversals
+
+
+def _mmcs(family, chosen: frozenset, missed: list, cand: set, out: list) -> None:
+    if not missed:
+        out.append(chosen)
+        return
+    F = min(missed, key=lambda e: len(e & cand))
+    branch = sorted(F & cand)
+    cand -= F
+    for v in branch:
+        t = chosen | {v}
+        if all(any(e & t == {u} for e in family) for u in chosen):
+            _mmcs(family, t, [e for e in missed if v not in e], cand, out)
+        cand.add(v)
+
+
 def facets_of(faces) -> set:
     fs = set(faces)
     return {f for f in fs if f and not any(f < g for g in fs)}

@@ -1,5 +1,6 @@
 """Simplicial complexes and the independence-complex construction."""
 
+import itertools
 import random
 
 import pytest
@@ -9,8 +10,10 @@ from hyperconn import (
     Hypergraph,
     NotAFace,
     SimplicialComplex,
+    build_counterexample_family,
     complex_union,
     deletion,
+    fixture,
     full_simplex,
     gamma_tilde,
     independence_complex,
@@ -31,6 +34,16 @@ class TestComplexBasics:
     def test_nonmaximal_faces_dropped(self):
         d = SimplicialComplex([{1, 2}, {1}, {2, 3}, {3}])
         assert set(d.facets) == {frozenset({1, 2}), frozenset({2, 3})}
+
+    def test_facets_are_the_maximal_candidates(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            cand = [
+                frozenset(rng.sample(range(n), rng.randint(0, n)))
+                for _ in range(rng.randint(0, 9))
+            ]
+            assert set(SimplicialComplex(cand).facets) == oracles.facets_of(cand)
 
     def test_point_only(self):
         d = SimplicialComplex([])
@@ -93,8 +106,23 @@ class TestIndependenceComplex:
             got = _minimal_transversals(frozenset(ground), family)
             assert len(got) == len(set(got)), family
             assert set(got) == oracles.minimal_transversals(ground, family), family
+            assert got == oracles.mmcs_transversals(ground, family), family
         assert _minimal_transversals(frozenset(), []) == [frozenset()]
         assert _minimal_transversals(frozenset({1}), [frozenset()]) == []
+
+    def test_minimal_transversals_match_set_mmcs_at_scale(self):
+        # the same list in the same order as MMCS on Python sets, on the
+        # gap family, all 5-subsets of 14 vertices (2,002 members) and
+        # seeded 3-uniform draws on 12-13 vertices
+        pool = [build_counterexample_family(3), fixture("complete(14,5)")]
+        rng = random.Random(21)
+        for n in (12, 13, 12, 13):
+            triples = list(itertools.combinations(range(1, n + 1), 3))
+            edges = rng.sample(triples, rng.randint(n, 2 * n))
+            pool.append(Hypergraph(range(1, n + 1), edges))
+        for H in pool:
+            got = _minimal_transversals(H.vertices, H.edges)
+            assert got == oracles.mmcs_transversals(H.vertices, H.edges), H
 
     def test_edgeless_gives_full_simplex(self):
         H = Hypergraph(range(1, 5), [])

@@ -3,10 +3,14 @@
 import itertools
 import random
 
+import pytest
+
 from hyperconn import (
     INF,
+    CapacityExceeded,
     SimplicialComplex,
     conn_h,
+    fixture,
     full_simplex,
     independence_complex,
     reduced_homology,
@@ -15,7 +19,7 @@ from hyperconn import (
 )
 from hyperconn.fixtures import lutz_acyclic_complex
 from hyperconn.generators import random_hypergraph
-from hyperconn.homology import _eliminate
+from hyperconn.homology import _boundary_rows, _coreduce, _eliminate, _face_levels
 
 import oracles
 
@@ -269,4 +273,77 @@ class TestClearing:
         assert len(d.faces()) == 1093
         prof = reduced_homology(d)
         assert prof.betti == {k: 495 if k == 3 else 0 for k in range(-1, 4)}
+        assert prof.torsion == {}
+
+
+def coreduced(d):
+    """The faces of d left by coreduction, by level (faces of k vertices)."""
+    return _coreduce(_face_levels(d, None))
+
+
+class TestCoreduction:
+    def test_vertex_cap_before_enumeration(self, monkeypatch):
+        # 2^30 faces would never finish: the cap must be checked first
+        with pytest.raises(CapacityExceeded):
+            reduced_homology(full_simplex(range(30)))
+        with pytest.raises(CapacityExceeded):
+            reduced_homology(simplex_boundary(range(5)), cap=4)
+        assert reduced_homology(simplex_boundary(range(5)), cap=5).betti_at(3) == 1
+        monkeypatch.setenv("HYPERCONN_VERTEX_CAP", "4")
+        with pytest.raises(CapacityExceeded):
+            reduced_homology(simplex_boundary(range(5)))
+        with pytest.raises(CapacityExceeded):
+            conn_h(simplex_boundary(range(5)))
+
+    def test_profiles_match_oracles(self):
+        # the torsion pool is compared in TestAgainstRationalOracle
+        complexes = [
+            SimplicialComplex([]),
+            full_simplex([4]),
+            full_simplex(range(1, 7)),
+            SimplicialComplex(f + (7,) for f in RP2_FACETS),
+            SimplicialComplex(RP2_FACETS),
+            lutz_acyclic_complex(),
+        ]
+        for d in complexes:
+            prof = reduced_homology(d)
+            faces = d.faces()
+            assert prof.dim == d.dim
+            assert prof.betti == oracles.betti_numbers(faces), d.facets
+            assert prof.torsion == oracles.torsion(faces), d.facets
+
+    def test_simplex_and_cone_coreduce_to_nothing(self):
+        cones = [
+            SimplicialComplex(f + (apex,) for f in RP2_FACETS) for apex in (0, 7)
+        ]
+        lutz = lutz_acyclic_complex()
+        cones.append(SimplicialComplex(f | {0} for f in lutz.facets))
+        for d in [full_simplex([1]), full_simplex(range(1, 8))] + cones:
+            assert not any(coreduced(d)), d.facets
+        # {empty} has no vertex to pair with; RP^2 keeps its torsion cells
+        assert coreduced(SimplicialComplex([])) == [[0]]
+        assert sum(map(len, coreduced(SimplicialComplex(RP2_FACETS)))) > 0
+
+    def test_what_is_left_is_a_chain_complex(self):
+        # the clearing lemma needs BA = 0 on the restricted maps
+        complexes = [SimplicialComplex(f) for f, _ in torsion_pool()]
+        complexes += random_complexes(18) + [lutz_acyclic_complex()]
+        for d in complexes:
+            live = coreduced(d)
+            for k in range(1, len(live) - 1):
+                B = _boundary_rows(live[k - 1], live[k])
+                A = _boundary_rows(live[k], live[k + 1])
+                for row in B:
+                    for j in range(len(live[k + 1])):
+                        assert sum(a * A[i].get(j, 0) for i, a in row.items()) == 0
+
+    def test_independence_complex_at_scale(self):
+        # Ind of all 5-subsets of 14 vertices is the 3-skeleton of the
+        # 13-simplex, a wedge of C(13, 4) = 715 3-spheres: coreduction
+        # leaves exactly its 715 top faces
+        d = independence_complex(fixture("complete(14,5)"))
+        live = coreduced(d)
+        assert [len(fs) for fs in live] == [0, 0, 0, 0, 715]
+        prof = reduced_homology(d)
+        assert prof.betti == {k: 715 if k == 3 else 0 for k in range(-1, 4)}
         assert prof.torsion == {}
