@@ -9,7 +9,6 @@ set is always exactly the union of the facets, so every vertex is a face.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import combinations
 
 from .errors import (
     CapacityExceeded,
@@ -38,7 +37,7 @@ __all__ = [
 class SimplicialComplex:
     """Downward-closed set system represented by its maximal faces."""
 
-    __slots__ = ("facets", "vertices", "_facet_set", "_faces", "_hash")
+    __slots__ = ("facets", "vertices", "_facet_set", "_hash")
 
     def __init__(self, faces: Iterable[Iterable[int]]):
         """Build the complex generated by the given faces.
@@ -66,7 +65,6 @@ class SimplicialComplex:
             self, "vertices", frozenset().union(*facets) if facets else frozenset()
         )
         object.__setattr__(self, "_facet_set", frozenset(facets))
-        object.__setattr__(self, "_faces", None)
         object.__setattr__(self, "_hash", hash(self._facet_set))
 
     def __setattr__(self, name, value):
@@ -103,24 +101,40 @@ class SimplicialComplex:
         return any(s <= f for f in self.facets)
 
     def faces(self, cap: int | None = None) -> frozenset:
-        """All faces, the empty face included.  Cached after the first call.
+        """All faces, the empty face included, decoded from _face_levels.
 
         Raises CapacityExceeded when the vertex count is over the cap
         (default 25), since the face list can be exponential in it.
         """
-        if self._faces is not None:
-            return self._faces
-        if len(self.vertices) > vertex_cap(cap):
-            raise CapacityExceeded(
-                f"{len(self.vertices)} vertices exceeds the face enumeration cap"
-            )
-        out = {frozenset()}
-        for f in self.facets:
-            elems = sorted(f)
-            for k in range(1, len(elems) + 1):
-                out.update(frozenset(c) for c in combinations(elems, k))
-        object.__setattr__(self, "_faces", frozenset(out))
-        return self._faces
+        verts = sorted(self.vertices)
+        return frozenset(
+            frozenset(v for i, v in enumerate(verts) if f >> i & 1)
+            for level in _face_levels(self, cap)
+            for f in level
+        )
+
+
+def _face_levels(delta: SimplicialComplex, cap: int | None) -> list[set[int]]:
+    """The faces of delta as vertex masks, vertex i of sorted(delta.vertices)
+    as bit i; level k holds the faces of k vertices, from the facets down.
+    Raises CapacityExceeded above the vertex cap before enumerating."""
+    n = len(delta.vertices)
+    if n > vertex_cap(cap):
+        raise CapacityExceeded(f"{n} vertices exceeds the face enumeration cap")
+    index = {v: i for i, v in enumerate(sorted(delta.vertices))}
+    levels: list[set[int]] = [set() for _ in range(delta.dim + 2)]
+    levels[0].add(0)
+    for f in delta.facets:
+        levels[len(f)].add(sum(1 << index[v] for v in f))
+    for k in range(len(levels) - 1, 1, -1):
+        below = levels[k - 1]
+        for f in levels[k]:
+            rest = f
+            while rest:
+                low = rest & -rest
+                below.add(f ^ low)
+                rest ^= low
+    return levels
 
 
 def full_simplex(vertices: Iterable[int]) -> SimplicialComplex:

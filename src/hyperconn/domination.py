@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .complexes import SimplicialComplex, independence_complex
+from .complexes import SimplicialComplex, _face_levels, independence_complex
 from .errors import CapacityExceeded, NotASubset, NotSubfamily
 from .extnat import INF, ExtNat, ceil_half
 from .hypergraph import Hypergraph
@@ -45,23 +45,26 @@ def sp_tilde(delta: SimplicialComplex, A) -> frozenset:
 
 
 def _sp_masks(delta: SimplicialComplex) -> tuple:
-    """Sorted vertices and (face mask, kill mask) pairs over their positions.
+    """Sorted vertices and (face mask, kill mask) pairs, the masks those of
+    _face_levels.
 
-    v kills sigma (sigma + {v} is not a face) exactly when v lies in no
-    facet containing sigma; faces that kill nothing are left out."""
+    v kills sigma (sigma + {v} is not a face) exactly when v is outside
+    sigma and sigma + {v} is missing from the level above; faces that kill
+    nothing are left out."""
     verts = sorted(delta.vertices)
-    pos = {v: i for i, v in enumerate(verts)}
     full = (1 << len(verts)) - 1
-    fmasks = [sum(1 << pos[v] for v in f) for f in delta.facets]
+    levels = _face_levels(delta, None)
     faces = []
-    for sigma in delta.faces():
-        smask = sum(1 << pos[v] for v in sigma)
-        kmask = full
-        for fmask in fmasks:
-            if smask & fmask == smask:
-                kmask &= ~fmask
-        if kmask:
-            faces.append((smask, kmask))
+    for level, above in zip(levels, levels[1:] + [set()]):
+        for smask in level:
+            kmask = rest = full & ~smask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if (smask | low) in above:
+                    kmask ^= low
+            if kmask:
+                faces.append((smask, kmask))
     return verts, faces
 
 

@@ -6,8 +6,8 @@ Conventions
   a real chain group and the profile of the complex {empty} has a single
   free generator in dimension -1.
 * Faces are oriented by the ascending order of their int vertices.  In
-  reduced_homology a face is a vertex mask, vertex i of the sorted vertex
-  set being bit i, so ascending vertices are ascending bits.
+  reduced_homology a face is a vertex mask of complexes._face_levels, so
+  ascending vertices are ascending bits.
 * All arithmetic is over Python ints, so ranks and torsion are exact; no
   floating point or fixed-width overflow anywhere.
 * A matrix is a list of sparse {col: value} rows without zero entries;
@@ -17,44 +17,6 @@ Conventions
   lemma below (Mrozek and Batko, "Coreduction homology algorithm",
   Discrete Comput. Geom. 41, 2009), and builds boundary rows only on the
   faces left.
-* It then eliminates d_top, ..., d_0 in that order and leaves out of
-  each d_k the k-faces that the elimination of d_(k+1) cleared, by the
-  clearing lemma below.  This is the clearing of Chen and Kerber,
-  "Persistent homology computation with a twist" (EuroCG 2011), also in
-  Bauer, Kerber and Reininghaus, "Clear and compress: computing
-  persistent homology in chunks" (2014), kept exact over the integers by
-  clearing only rows that a unit certifies.
-
-Clearing lemma.  Let A and B be integer matrices with BA = 0, the rows of
-A indexing the columns of B.  Eliminate A as _eliminate does, and let
-P = {s_1, ..., s_m} be the rows on which it pivots on a unit, in pivot
-order, before its first non-unit pivot.  Then B and B without the columns
-P have the same image, so the same rank and Smith diagonal (both are read
-off the cokernel of B).
-
-Proof.  Column operations keep im A.  A unit pivot (s_i, j) finishes in
-its own step: its row operations clear column j except at s_i, and the
-row reduces to its pivot entry; a finished row is never changed again and
-is the source of no later row operation.  Let v be column j of the working
-matrix, finished rows included, when s_i is chosen: v(s_i) = +-1, and
-v(s_h) = 0 for h < i because row s_h holds only its own pivot, in a column
-that s_h alone meets.  Undo the row operations of steps i-1, ..., 1 in
-that order: step h added multiples of row s_h, and no later step changed
-entry s_h, so each undo adds 0 to v and v itself lies in im A.  Call it
-c_i.  The m x m matrix (c_i(s_h)) is triangular with diagonal +-1, so
-integer combinations of the c_i give, for each s in P, some c in im A with
-c|_P = e_s.  As Bc = 0, B e_s is an integer combination of the columns of
-B outside P.
-
-Past a non-unit pivot an undo can add to a finished row: for A = (2, 3)^T
-and B = (3, -2), the pivot 2 leaves 1 in row 1, yet B without column 1
-has image 3Z, not Z.  So a row is cleared only on a unit, before any
-non-unit.  In reduced_homology, B = d_k and A is d_(k+1) less the columns
-cleared one dimension up, on the faces coreduction left; by induction
-from the top, A has the image of d_(k+1), and d_k A = 0.  So every map is
-eliminated on columns with the image of the full map, and every rank and
-Smith diagonal, hence every Betti number and torsion group, is that of
-the full boundary maps on those faces.
 
 Coreduction lemma.  Let b be a k-cell of a chain complex of free modules
 with bases whose column in d_k is e * e_a, for a (k-1)-cell a and a unit
@@ -81,8 +43,7 @@ so a face with exactly one live boundary face is a b of the lemma.  Pair
 by pair, what is left carries the restricted maps, is a chain complex and
 has the reduced homology, torsion included, of the whole complex.  Each
 pair takes one face from each of two adjacent dimensions, so the Euler
-characteristic is unchanged as well.  The clearing lemma needs only
-BA = 0, so it applies on what is left.  No free-face (elementary)
+characteristic is unchanged as well.  No free-face (elementary)
 reduction is used.
 
 The connectivity number conn_h is the largest k such that the reduced
@@ -97,10 +58,8 @@ from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
-from .complexes import SimplicialComplex
-from .errors import CapacityExceeded
+from .complexes import SimplicialComplex, _face_levels
 from .extnat import INF, ExtNat
-from .limits import vertex_cap
 
 __all__ = [
     "HomologyProfile",
@@ -116,22 +75,15 @@ def smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
     The matrix is a list of rows, each a {col: value} dict with the zero
     entries omitted.  Returns positive ints normalized so each divides the
     next.  The input is not modified.
-    """
-    return _eliminate(rows)[0]
-
-
-def _eliminate(rows: list[dict[int, int]]) -> tuple[list[int], set[int]]:
-    """The Smith diagonal of smith_diagonal and the clearing rows: the rows
-    where a unit pivot finished before the first non-unit pivot.
 
     Elimination runs on copies of the nonempty rows, with an index of the
     rows meeting each column.  The pivot p is an entry of least absolute
     value, the first unit in row order when there is one.  Row operations
-    clear its column; once that column holds only p, a column operation
+    empty its column; once that column holds only p, a column operation
     against it changes the pivot row alone, so that row is reduced mod p.
     Any nonzero remainder, in the column or in the row, is smaller than
     |p|, so the next search finds a smaller pivot; otherwise p joins the
-    diagonal.  A unit pivot always finishes in its own step.
+    diagonal.
     """
     rows = {i: dict(row) for i, row in enumerate(rows) if row}
     cols: dict[int, set[int]] = {}
@@ -139,8 +91,6 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[list[int], set[int]]:
         for j in row:
             cols.setdefault(j, set()).add(i)
     diag: list[int] = []
-    unit_rows: set[int] = set()
-    units_only = True
     while rows:
         pivot = None
         for i, row in rows.items():
@@ -150,8 +100,6 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[list[int], set[int]]:
                 if abs(a) == 1:
                     break
         i, j, p = pivot
-        if abs(p) != 1:
-            units_only = False
         prow = rows[i]
         for k in [k for k in cols[j] if k != i]:
             row = rows[k]
@@ -177,11 +125,9 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[list[int], set[int]]:
                 cols[c].discard(i)
         if len(prow) == 1:
             diag.append(abs(p))
-            if units_only:
-                unit_rows.add(i)
             del rows[i]
-            cols[j].clear()
-    return _normalize_divisibility(diag), unit_rows
+            del cols[j]
+    return _normalize_divisibility(diag)
 
 
 def _normalize_divisibility(diag: list[int]) -> list[int]:
@@ -236,29 +182,6 @@ class HomologyProfile:
                 f"dim {k}: betti {self.betti_at(k)}" + (f" torsion {t}" if t else "")
             )
         return "\n".join(lines)
-
-
-def _face_levels(delta: SimplicialComplex, cap: int | None) -> list[set[int]]:
-    """The faces of delta as vertex masks, vertex i of sorted(delta.vertices)
-    as bit i; level k holds the faces of k vertices, from the facets down.
-    Raises CapacityExceeded above the vertex cap before enumerating."""
-    n = len(delta.vertices)
-    if n > vertex_cap(cap):
-        raise CapacityExceeded(f"{n} vertices exceeds the face enumeration cap")
-    index = {v: i for i, v in enumerate(sorted(delta.vertices))}
-    levels: list[set[int]] = [set() for _ in range(delta.dim + 2)]
-    levels[0].add(0)
-    for f in delta.facets:
-        levels[len(f)].add(sum(1 << index[v] for v in f))
-    for k in range(len(levels) - 1, 1, -1):
-        below = levels[k - 1]
-        for f in levels[k]:
-            rest = f
-            while rest:
-                low = rest & -rest
-                below.add(f ^ low)
-                rest ^= low
-    return levels
 
 
 def _coreduce(levels: list[set[int]]) -> list[list[int]]:
@@ -328,23 +251,19 @@ def reduced_homology(delta: SimplicialComplex, cap: int | None = None) -> Homolo
 
     Raises CapacityExceeded when the vertex count is over the cap (default
     25), before any face is built.  The faces are coreduced first (the
-    coreduction lemma of the module docstring).  On the faces left, Betti
-    numbers come from the ranks of consecutive boundary maps, torsion from
-    the Smith diagonal of the boundary one dimension up.  The maps are
-    eliminated from the top dimension down, each without the columns the
-    one above cleared (the clearing lemma), which leaves every rank and
-    diagonal as it is.  A reduced Euler characteristic identity between
-    all faces and the Betti numbers is asserted as an internal sanity
-    check.
+    coreduction lemma of the module docstring).  On the faces left, each
+    boundary map d_0, ..., d_top goes through smith_diagonal once: Betti
+    numbers come from the ranks of consecutive maps, torsion from the
+    Smith diagonal of the map one dimension up.  A reduced Euler
+    characteristic identity between all faces and the Betti numbers is
+    asserted as an internal sanity check.
     """
     levels = _face_levels(delta, cap)
     live = _coreduce(levels)
     top = delta.dim
-    smith: dict[int, list[int]] = {}
-    cleared: set[int] = set()
-    for k in range(top, -1, -1):
-        upper = [f for i, f in enumerate(live[k + 1]) if i not in cleared]
-        smith[k], cleared = _eliminate(_boundary_rows(live[k], upper))
+    smith = {
+        k: smith_diagonal(_boundary_rows(live[k], live[k + 1])) for k in range(top + 1)
+    }
     betti: dict[int, int] = {}
     torsion: dict[int, tuple] = {}
     for k in range(-1, top + 1):

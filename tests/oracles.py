@@ -84,6 +84,17 @@ def _mmcs(family, chosen: frozenset, missed: list, cand: set, out: list) -> None
         cand.add(v)
 
 
+def faces_of(facets) -> set:
+    """Every subset of every facet, the empty face included, by
+    itertools.combinations."""
+    out = {frozenset()}
+    for f in facets:
+        elems = sorted(f)
+        for k in range(1, len(elems) + 1):
+            out.update(frozenset(c) for c in itertools.combinations(elems, k))
+    return out
+
+
 def facets_of(faces) -> set:
     fs = set(faces)
     return {f for f in fs if f and not any(f < g for g in fs)}

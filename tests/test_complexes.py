@@ -66,7 +66,7 @@ class TestComplexBasics:
 
     def test_capacity_through_faces(self, monkeypatch):
         # minimal_nonfaces meets the cap in the minimal-transversal search,
-        # gamma_tilde in faces()
+        # gamma_tilde in the face enumeration
         monkeypatch.setenv("HYPERCONN_VERTEX_CAP", "3")
         with pytest.raises(CapacityExceeded):
             minimal_nonfaces(simplex_boundary(range(5)))

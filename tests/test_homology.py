@@ -19,7 +19,9 @@ from hyperconn import (
 )
 from hyperconn.fixtures import lutz_acyclic_complex
 from hyperconn.generators import random_hypergraph
-from hyperconn.homology import _boundary_rows, _coreduce, _eliminate, _face_levels
+from hyperconn import homology
+from hyperconn.complexes import _face_levels
+from hyperconn.homology import _boundary_rows, _coreduce
 
 import oracles
 
@@ -89,6 +91,7 @@ class TestSmith:
         # mod p, [[2], [3]] one in the pivot column; each must be pivoted on
         assert smith_diagonal([{0: 2, 1: 3}]) == [1]
         assert smith_diagonal([{0: 2}, {0: 3}]) == [1]
+        assert smith_diagonal([{0: 3, 1: -2}]) == [1]
         rng = random.Random(19)
         entries = [0, 0, 1, -1, 2, -2, 3, 4, 6]
         mats = [[[2, 3]], [[2], [3]], [[4, 6], [6, 9]]]
@@ -103,6 +106,14 @@ class TestSmith:
             assert rows == before
             # the dense reduction behind oracles.torsion agrees as well
             assert oracles.invariant_factors_by_elimination(mat) == expect, mat
+
+    def test_unit_after_a_non_unit_pivot(self):
+        # A = (2, 3)^T and B = (3, -2) satisfy BA = 0.  Eliminating A pivots
+        # on 2 and then on the remainder 1 in row 1; B keeps its full image Z
+        # only with both columns, since B without column 1 has image 3Z
+        assert smith_diagonal([{0: 2}, {0: 3}]) == [1]
+        assert smith_diagonal([{0: 3, 1: -2}]) == [1]
+        assert smith_diagonal([{0: 3}]) == [3]
 
 
 def torsion_pool():
@@ -220,51 +231,65 @@ class TestAgainstRationalOracle:
                 assert prof.betti_at(k) == b, (facets, k)
 
 
-def cleared_diagonals(faces):
-    """Pairs (Smith diagonal of the k-th boundary matrix with the columns
-    cleared one dimension up left out, invariant factors of the whole
-    matrix), for k from the top dimension down to 0, as reduced_homology
-    clears them."""
-    out = []
-    cleared = set()
-    for k in range(max(map(len, faces)) - 1, -1, -1):
-        mat = oracles.boundary_matrix(faces, k)
-        rows = [{j: a for j, a in r.items() if j not in cleared} for r in sparse(mat)]
-        diag, cleared = _eliminate(rows)
-        out.append((diag, oracles.invariant_factors_by_elimination(mat)))
-    return out
+def pools():
+    """The torsion pool, random_complexes(17) and (18), and Ind of 35
+    seeded random hypergraphs on 7 vertices."""
+    rng = random.Random(17)
+    complexes = [SimplicialComplex(f) for f, _ in torsion_pool()]
+    complexes += random_complexes(17) + random_complexes(18)
+    complexes += [independence_complex(random_hypergraph(rng, 7)) for _ in range(35)]
+    return complexes
 
 
-class TestClearing:
-    def test_lemma_on_pools(self):
+class TestFaces:
+    def test_faces_match_oracle(self):
+        for d in pools():
+            assert d.faces() == oracles.faces_of(d.facets), d.facets
+
+    def test_cap_on_every_call(self, monkeypatch):
+        # a first call without the cap must not let a later capped call through
+        d = simplex_boundary(range(5))
+        assert len(d.faces()) == 31
+        with pytest.raises(CapacityExceeded):
+            d.faces(cap=3)
+        monkeypatch.setenv("HYPERCONN_VERTEX_CAP", "3")
+        with pytest.raises(CapacityExceeded):
+            d.faces()
+
+
+class TestBoundarySmith:
+    def test_boundary_maps_match_oracle(self):
         # the dense textbook reduction stands in for the determinantal
         # divisors of oracles.invariant_factors, which are out of reach
         # beyond about 5 x 5 (it is checked against them in TestSmith)
-        rng = random.Random(17)
-        complexes = [SimplicialComplex(f) for f, _ in torsion_pool()]
-        complexes += random_complexes(18)
-        complexes += [
-            independence_complex(random_hypergraph(rng, 7)) for _ in range(35)
-        ]
-        for d in complexes:
-            for diag, expect in cleared_diagonals(d.faces()):
-                assert diag == expect, d.facets
+        for d in pools():
+            faces = d.faces()
+            for k in range(d.dim + 1):
+                mat = oracles.boundary_matrix(faces, k)
+                expect = oracles.invariant_factors_by_elimination(mat)
+                assert smith_diagonal(sparse(mat)) == expect, (d.facets, k)
 
-    def test_no_row_after_a_non_unit_pivot(self):
-        # A = (2, 3)^T and B = (3, -2) satisfy BA = 0.  Eliminating A pivots
-        # on 2 and then on the remainder 1 in row 1, but B without column 1
-        # has image 3Z, not Z: that unit must not be reported
-        assert _eliminate([{0: 2}, {0: 3}]) == ([1], set())
-        assert smith_diagonal([{0: 3, 1: -2}]) == [1]
-
-    def test_torsion_pivot_is_not_cleared(self):
-        # in M(Z/3, 1) the top boundary has 26 unit pivots and one of 3;
-        # only the unit pivots' rows are reported
+    def test_torsion_pivot(self):
+        # in M(Z/3, 1) the top boundary has 26 unit pivots and one of 3
         d = SimplicialComplex(moore_space(3))
-        diag, units = _eliminate(sparse(oracles.boundary_matrix(d.faces(), 2)))
+        diag = smith_diagonal(sparse(oracles.boundary_matrix(d.faces(), 2)))
         assert diag == [1] * 26 + [3]
-        assert len(units) == 26
         assert reduced_homology(d).torsion == {1: (3,)}
+
+    def test_reduced_homology_calls_smith_diagonal(self, monkeypatch):
+        # one call per boundary map d_0, ..., d_dim, through the module's
+        # public name, and the profile is the same
+        d = SimplicialComplex(RP2_FACETS)
+        before = reduced_homology(d)
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return smith_diagonal(rows)
+
+        monkeypatch.setattr(homology, "smith_diagonal", counted)
+        assert reduced_homology(d) == before
+        assert len(calls) == d.dim + 1
 
     def test_skeleton_closed_form(self):
         # the 3-skeleton of the 12-simplex (all 4-subsets of 13 vertices,
@@ -325,7 +350,7 @@ class TestCoreduction:
         assert sum(map(len, coreduced(SimplicialComplex(RP2_FACETS)))) > 0
 
     def test_what_is_left_is_a_chain_complex(self):
-        # the clearing lemma needs BA = 0 on the restricted maps
+        # the coreduction lemma: the restricted maps still satisfy BA = 0
         complexes = [SimplicialComplex(f) for f, _ in torsion_pool()]
         complexes += random_complexes(18) + [lutz_acyclic_complex()]
         for d in complexes:
