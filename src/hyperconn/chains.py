@@ -26,12 +26,46 @@ level, as perfect elimination does for chordal graphs, memoized on the
 vertex set.
 
 Every search over proper chains runs through one depth-first walk,
-_walk, which extends a chain edge by edge in canonical edge and pivot
-order and hands each chain it reaches to a visit callback: True stops the
-search, False skips that chain's extensions, None extends it.  Distance
-queries visit until the target edge appears, under iterative deepening;
-the decomposition-vertex check visits until it meets an irredundant chain
-with v in three of its edges.
+_walk, over edge sequences on bitmasks.  Vertices are bits in sorted-id
+order and edges are vertex masks in C.edges order.  A step table, built
+once per call (its steps at the first walk) and dropped when the call
+returns, lists for each edge E_i, in edge order, every edge E_j with
+|E_i & E_j| = |E_j| - 1 together with S = E_i & E_j, the pivot
+candidates of a step from E_i to E_j.  The walk
+appends E_j to a sequence ending at E_i when E_j is new and the candidate
+sets S_1, ..., S_k of its steps still have a system of distinct
+representatives.  The representatives are kept as a matching of steps to
+pivots; a new step gets its pivot by one augmenting path (Kuhn), and on
+backtrack the popped step frees its pivot, leaving distinct
+representatives of the prefix.  The walk runs on explicit stacks, so a
+chain may be as long as the edge count allows.  It hands each sequence
+to a visit callback: True stops the search, False skips that sequence's
+extensions, None extends it.
+
+Why this loses nothing.  Distinct pivots x_k in S_k are exactly a system
+of distinct representatives of S_1, ..., S_k (Hall, "On representatives
+of subsets", J. London Math. Soc. 10, 1935), so the edge sequences of
+proper chains are exactly the sequences of distinct edges whose steps
+meet the size condition and whose candidate sets have one.  Every prefix
+of such a sequence is one, since representatives of S_1..S_k restrict to
+S_1..S_j.  So the walk, which grows only such sequences, visits the edge
+sequence of every proper chain, each once, and never the same sequence
+under two pivot choices.  Distance, irredundance (by the chord lemma
+below) and the occurrences of a vertex depend on the edges alone.
+Distance queries visit until the target edge appears, under iterative
+deepening; the decomposition-vertex check visits until it meets an
+irredundant chain with v in three of its edges; hypergraph_geq and
+c_max_disjoint collect every edge a walk of at most d steps reaches.
+
+The witness of shortest_chain is found by self-reduction.  With the
+length n known, it fixes at each step the least pair (E, x), edges in
+C.edges order and then pivots in ascending order, from which a completion
+to G in the remaining steps exists: the walk from E, with the fixed edges
+and pivots removed, reaches G.  A completion never takes fewer steps, as
+that would give a chain shorter than n.  So the pairs fixed are those of
+the least chain of length n in the order that compares (edge, pivot)
+pairs step by step, which is the first chain a depth-first search over
+edges and then pivots meets under iterative deepening.
 
 Irredundance needs no search.  A chord of a chain is a pair E_p, E_q with
 q - p >= 2 and |E_p & E_q| = |E_q| - 1.
@@ -83,6 +117,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .errors import (
     CapacityExceeded,
@@ -154,50 +189,187 @@ def is_proper_chain(C: Hypergraph, chain: ProperChain) -> bool:
     return True
 
 
-def _walk(all_edges, seq: list, pivots: list, used: set, cap: int, visit) -> bool:
-    """Depth-first search over the proper chains that extend seq.
+def _ones(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Calls visit(seq, pivots) on seq and then on every extension of at most
-    cap pivots, in canonical edge and pivot order.  True from visit stops
-    the whole search and is returned with seq and pivots left holding the
-    chain it stopped at; False skips that chain's extensions; None extends
-    it.  Returns False, with seq and pivots restored, when nothing stopped.
-    """
-    verdict = visit(seq, pivots)
-    if verdict is not None:
-        return verdict
-    if len(pivots) >= cap:
-        return False
-    last = seq[-1]
-    for e in all_edges:
-        if e in seq or len(last & e) != len(e) - 1:
-            continue
-        for x in sorted(last & e):
-            if x in used:
-                continue
-            seq.append(e)
-            pivots.append(x)
-            used.add(x)
-            if _walk(all_edges, seq, pivots, used, cap, visit):
+
+class _StepTable:
+    """Vertices as bits in sorted-id order, edges as vertex masks in
+    C.edges order, and for each edge E_i the steps (j, S) out of it, in
+    edge order: every j with |E_i & E_j| = |E_j| - 1 and S = E_i & E_j.
+    The steps are listed on the first walk, as many callers need none."""
+
+    __slots__ = ("vertex", "masks", "incident", "_steps")
+
+    def __init__(self, C: Hypergraph):
+        self.vertex = sorted(C.vertices)
+        bit = {v: i for i, v in enumerate(self.vertex)}
+        self.masks = [sum(1 << bit[v] for v in e) for e in C.edges]
+        # incident[x]: the edges holding vertex x, as a mask of edge indices
+        self.incident = [0] * len(self.vertex)
+        for j, e in enumerate(C.edges):
+            for v in e:
+                self.incident[bit[v]] |= 1 << j
+        self._steps = None
+
+    def steps(self) -> list:
+        if self._steps is None:
+            masks = self.masks
+            self._steps = []
+            for e in masks:
+                near = 0
+                for x in _ones(e):
+                    near |= self.incident[x]
+                self._steps.append([
+                    (j, e & masks[j])
+                    for j in _ones(near)
+                    if (e & masks[j]).bit_count() == masks[j].bit_count() - 1
+                ])
+        return self._steps
+
+    def inside(self, A: int) -> int:
+        """The edges inside the vertex mask A, as a mask of edge indices."""
+        return sum(1 << j for j, e in enumerate(self.masks) if not e & ~A)
+
+
+class _Pivots:
+    """Distinct representatives of the pivot candidates of a sequence of
+    steps: pivot[k] is the vertex bit step k takes, owner maps each taken
+    bit back to its step, and no step may take a banned vertex."""
+
+    __slots__ = ("cand", "pivot", "owner", "taken", "banned")
+
+    def __init__(self, banned: int = 0):
+        self.cand: list = []
+        self.pivot: list = []
+        self.owner: dict = {}
+        self.taken = 0
+        self.banned = banned
+
+    def push(self, S: int) -> bool:
+        """Add a step with candidates S and give it a pivot by a shortest
+        augmenting path, moving earlier pivots inside their candidates.
+        False, with nothing changed, when no distinct representatives
+        exist."""
+        S &= ~self.banned
+        free = S & ~self.taken
+        if free:  # the augmenting path of one edge
+            x = free & -free
+            self.owner[x] = len(self.cand)
+            self.cand.append(S)
+            self.pivot.append(x)
+            self.taken |= x
+            return True
+        t = len(self.cand)
+        self.cand.append(S)
+        self.pivot.append(0)
+        came: dict = {}  # vertex bit -> the step the search reached it from
+        seen = 0
+        queue = [t]
+        for s in queue:
+            reach = self.cand[s] & ~seen
+            free = reach & ~self.taken
+            if free:
+                x = free & -free
+                self.taken |= x
+                while x:  # each step on the path takes the bit it reached
+                    self.owner[x] = s
+                    x, self.pivot[s] = self.pivot[s], x
+                    s = came.get(x)
                 return True
-            used.discard(x)
-            pivots.pop()
-            seq.pop()
+            seen |= reach
+            while reach:
+                x = reach & -reach
+                reach ^= x
+                came[x] = s
+                queue.append(self.owner[x])
+        self.cand.pop()
+        self.pivot.pop()
+        return False
+
+    def pop(self) -> None:
+        x = self.pivot.pop()
+        self.cand.pop()
+        del self.owner[x]
+        self.taken ^= x
+
+
+def _walk(
+    T: _StepTable, start: int, cap: int, visit, avail: int = -1, banned: int = 0
+) -> list | None:
+    """Depth-first search over the edge sequences of the proper chains
+    that start at edge index start.
+
+    Calls visit(seq), seq the list of edge indices, on [start] and then on
+    every extension of at most cap steps by edges in the mask avail, in
+    edge order, whose steps have distinct pivots outside the vertex mask
+    banned.  True from visit stops the search and returns the sequence it
+    stopped at; False skips that sequence's extensions; None extends it.
+    Returns None when nothing stopped.
+    """
+    seq = [start]
+    verdict = visit(seq)
+    if verdict is not None or cap <= 0:
+        return seq if verdict else None
+    avail &= ~(1 << start)
+    steps = T.steps()
+    pivots = _Pivots(banned)
+    frames = [iter(steps[start])]  # frames[k]: steps not yet tried out of seq[k]
+    while frames:
+        for j, S in frames[-1]:
+            if avail >> j & 1 and pivots.push(S):
+                seq.append(j)
+                avail ^= 1 << j
+                verdict = visit(seq)
+                if verdict:
+                    return seq
+                if verdict is None and len(seq) <= cap:
+                    frames.append(iter(steps[j]))
+                    break
+                pivots.pop()
+                avail |= 1 << seq.pop()
+        else:
+            frames.pop()
+            if frames:
+                pivots.pop()
+                avail |= 1 << seq.pop()
+    return None
+
+
+def _reach(T: _StepTable, start: int, cap: int) -> int:
+    """The edges that end a proper chain from edge index start of at most
+    cap steps, start itself included, as a mask of edge indices."""
+    reached = 0
+
+    def mark(seq: list) -> None:
+        nonlocal reached
+        reached |= 1 << seq[-1]
+
+    _walk(T, start, cap, mark)
+    return reached
+
+
+def _closes_chord(chain: list, q: int) -> bool:
+    """Whether chain[q] and a chain[p] with p <= q - 2, vertex masks, form
+    a chord."""
+    last = chain[q]
+    need = last.bit_count() - 1
+    for p in range(q - 1):
+        if (chain[p] & last).bit_count() == need:
+            return True
     return False
 
 
-def _closes_chord(seq: list, q: int) -> bool:
-    """Whether E_q and an edge E_p with p <= q - 2 form a chord."""
-    last = seq[q]
-    need = len(last) - 1
-    return any(len(seq[p] & last) == need for p in range(q - 1))
-
-
-def _redundant(edges: list) -> bool:
-    """Whether the proper chain has a chord: by the chord lemma, whether a
-    strict subsequence of its edges, first and last kept and order
-    preserved, carries pivots making it proper."""
-    return any(_closes_chord(edges, q) for q in range(2, len(edges)))
+def _redundant(chain: list) -> bool:
+    """Whether the proper chain, given by the vertex masks of its edges,
+    has a chord: by the chord lemma, whether a strict subsequence of its
+    edges, first and last kept and order preserved, carries pivots making
+    it proper."""
+    return any(_closes_chord(chain, q) for q in range(2, len(chain)))
 
 
 def is_irredundant(C: Hypergraph, chain: ProperChain) -> bool:
@@ -209,7 +381,25 @@ def is_irredundant(C: Hypergraph, chain: ProperChain) -> bool:
     """
     if not is_proper_chain(C, chain):
         raise ValidationError("not a proper chain")
-    return not _redundant([frozenset(e) for e in chain.edges])
+    bit = {v: i for i, v in enumerate(sorted(C.vertices))}
+    return not _redundant([sum(1 << bit[v] for v in e) for e in chain.edges])
+
+
+def _ends_at(g: int):
+    """The visit that stops at a sequence ending at edge index g."""
+    return lambda seq: True if seq[-1] == g else None
+
+
+def _distance(T: _StepTable, f: int, g: int, limit: int) -> int | None:
+    """Least n <= limit with a proper chain of n steps from edge index f to
+    g, by iterative deepening over edge sequences; None when there is none.
+    A chain reaching g below the current depth would have been found at a
+    smaller one, so g is only ever met at full depth."""
+    at_g = _ends_at(g)
+    for depth in range(1, limit + 1):
+        if _walk(T, f, depth, at_g) is not None:
+            return depth
+    return None
 
 
 def shortest_chain(
@@ -219,8 +409,8 @@ def shortest_chain(
 
     None when no proper chain of length <= max_length exists.  The default
     bound, one less than the edge count, is exhaustive since chain edges
-    are distinct.  Deterministic: iterative deepening with canonical edge
-    and pivot order.
+    are distinct.  Deterministic: the first chain of the canonical edge
+    and pivot order, rebuilt by the self-reduction of the module docstring.
     """
     F = frozenset(F)
     G = frozenset(G)
@@ -229,19 +419,31 @@ def shortest_chain(
             raise EdgeNotPresent(f"{sorted(e)} is not an edge")
     if F == G:
         return ProperChain(edges=(F,), pivots=())
+    f, g = C.edges.index(F), C.edges.index(G)
+    T = _StepTable(C)
     limit = len(C.edges) - 1 if max_length is None else max_length
-    seq: list = [F]
-    pivots: list = []
-
-    def at_g(seq: list, pivots: list) -> bool | None:
-        # a chain reaching G below the current depth would have been found
-        # at a smaller deepening level, so G is only ever met at full depth
-        return True if seq[-1] == G else None
-
-    for depth in range(1, limit + 1):
-        if _walk(C.edges, seq, pivots, set(), depth, at_g):
-            return ProperChain(edges=tuple(seq), pivots=tuple(pivots))
-    return None
+    n = _distance(T, f, g, limit)
+    if n is None:
+        return None
+    at_g = _ends_at(g)
+    seq, pivots = [f], []
+    avail, banned = ~(1 << f), 0
+    for left in range(n - 1, -1, -1):
+        j, x = next(
+            (j, x)
+            for j, S in T.steps()[seq[-1]]
+            if avail >> j & 1
+            for x in _ones(S & ~banned)
+            if _walk(T, j, left, at_g, avail, banned | 1 << x) is not None
+        )
+        seq.append(j)
+        pivots.append(x)
+        avail &= ~(1 << j)
+        banned |= 1 << x
+    return ProperChain(
+        edges=tuple(C.edges[j] for j in seq),
+        pivots=tuple(T.vertex[x] for x in pivots),
+    )
 
 
 def edge_distance(C: Hypergraph, F, G) -> ExtNat:
@@ -280,8 +482,10 @@ def c_max_disjoint(C: Hypergraph) -> int:
     """Largest number of edges of a d-uniform hypergraph pairwise at
     distance >= d + 1, the threshold of the contraction identities.
 
-    Uses the conflict graph (edges at distance <= d adjacent) and a simple
-    exact branch and bound for its maximum independent set.  0 for an
+    Uses the conflict graph (edges at distance <= d adjacent), read off
+    one walk of at most d steps from each edge, and a simple exact branch
+    and bound for its maximum independent set.  Distance is symmetric on
+    equal-size edges, since a reversed proper chain is one.  0 for an
     edgeless hypergraph; mixed edge sizes raise NotUniform.
     """
     if not C.edges:
@@ -289,25 +493,22 @@ def c_max_disjoint(C: Hypergraph) -> int:
     d = C.uniform_size()
     if d is None:
         raise NotUniform("c_max_disjoint needs a d-uniform hypergraph")
-    m = len(C.edges)
-    conflict = [set() for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if shortest_chain(C, C.edges[i], C.edges[j], max_length=d) is not None:
-                conflict[i].add(j)
-                conflict[j].add(i)
-    return _grow(conflict, 0, list(range(m)), 0)
+    T = _StepTable(C)
+    conflict = [_reach(T, i, d) for i in range(len(C.edges))]
+    return _grow(conflict, 0, list(range(len(C.edges))), 0)
 
 
 def _grow(conflict: list, chosen: int, cand: list, best: int) -> int:
     """The larger of best and chosen plus a largest independent subset of
-    cand in the conflict graph, branching on cand[0] in, then out."""
+    cand in the conflict graph, given as masks of edge indices, branching
+    on cand[0] in, then out."""
     if chosen + len(cand) <= best:
         return best
     if not cand:
         return chosen
     v, rest = cand[0], cand[1:]
-    best = _grow(conflict, chosen + 1, [u for u in rest if u not in conflict[v]], best)
+    apart = [u for u in rest if not conflict[v] >> u & 1]
+    best = _grow(conflict, chosen + 1, apart, best)
     return _grow(conflict, chosen, rest, best)
 
 
@@ -332,49 +533,57 @@ def is_splitting_edge(C: Hypergraph, F) -> bool:
     return find_splitting_vertex(C, F) is not None
 
 
-def _chain_occurrences_ok(C: Hypergraph, v: int) -> bool:
-    """No proper irredundant chain of C carries v in more than two edges.
+def _chain_occurrences_ok(T: _StepTable, part: int, v: int) -> bool:
+    """No proper irredundant chain of the part, the edges in the mask
+    part, carries the vertex of bit v in more than two edges.
 
     A violating chain has a violating segment, from its first to its third
     edge holding v, which is irredundant by the chord lemma.  So walks
     start only at edges holding v, skip the extensions of every chain that
     closes a chord, and stop at the first chordless chain with three edges
-    holding v.  The count of those edges is kept per depth along the walk.
+    holding v.  The edges' masks and the count of those holding v are
+    kept per depth along the walk.
     """
-    if C.degree(v) <= 2:
+    holding = T.incident[v] & part
+    if holding.bit_count() <= 2:
         return True
-    counts = [0] * (len(C.edges) + 1)  # counts[k]: edges of seq[:k] holding v
+    chain: list = []  # chain[k]: vertex mask of seq[k]
+    counts = [0] * (part.bit_count() + 1)  # counts[k]: edges of seq[:k] holding v
 
-    def violates(seq: list, pivots: list) -> bool | None:
+    def violates(seq: list) -> bool | None:
         k = len(seq)
-        if _closes_chord(seq, k - 1):
+        del chain[k - 1 :]
+        chain.append(T.masks[seq[-1]])
+        if _closes_chord(chain, k - 1):
             return False
-        counts[k] = counts[k - 1] + (v in seq[-1])
+        counts[k] = counts[k - 1] + (chain[-1] >> v & 1)
         return True if counts[k] > 2 else None
 
-    cap = len(C.edges) - 1
-    return not any(
-        _walk(C.edges, [start], [], set(), cap, violates)
-        for start in C.edges
-        if v in start
-    )
+    cap = part.bit_count() - 1
+    return all(_walk(T, start, cap, violates, part) is None for start in _ones(holding))
 
 
-def _neighborhood_complete(C: Hypergraph, v: int, d: int) -> bool:
-    nbrs = C.vertex_neighborhood(v)
-    if len(nbrs) < d:
-        return True  # below order: the induced hypergraph is edgeless
-    return all(C.has_edge(frozenset(s)) for s in combinations(sorted(nbrs), d))
+def _neighborhood_complete(T: _StepTable, part: int, v: int, d: int) -> bool:
+    """Whether the neighborhood N of bit v in the part induces a
+    d-complete hypergraph: C(|N|, d) edges inside N, none below order."""
+    N = 0
+    for j in _ones(T.incident[v] & part):
+        N |= T.masks[j]
+    N &= ~(1 << v)
+    return T.inside(N).bit_count() == comb(N.bit_count(), d)
 
 
-def _is_decomposition_vertex(C: Hypergraph, v: int, d: int) -> bool:
-    """Whether v is a decomposition vertex of C, which has edges of size d.
+def _is_decomposition_vertex(T: _StepTable, part: int, v: int, d: int) -> bool:
+    """Whether bit v is a decomposition vertex of the part, the edges in
+    the mask part, all of size d.
 
     For graphs (d = 2) the chain condition holds automatically: a third
     edge membership always yields a proper subsequence chain shortcut, so
     the irredundant chains never show one.
     """
-    return _neighborhood_complete(C, v, d) and (d == 2 or _chain_occurrences_ok(C, v))
+    return _neighborhood_complete(T, part, v, d) and (
+        d == 2 or _chain_occurrences_ok(T, part, v)
+    )
 
 
 def find_decomposition_vertex(C: Hypergraph) -> int | None:
@@ -388,31 +597,35 @@ def find_decomposition_vertex(C: Hypergraph) -> int | None:
     d = C.uniform_size()
     if d is None and C.edges:
         raise NotUniform("decomposition vertices need a d-uniform hypergraph")
-    for v in sorted(C.vertices):
-        if not C.edges or _is_decomposition_vertex(C, v, d):
-            return v
+    T = _StepTable(C)
+    part = (1 << len(C.edges)) - 1
+    for v in range(len(T.vertex)):
+        if not part or _is_decomposition_vertex(T, part, v, d):
+            return T.vertex[v]
     return None
 
 
-def _triangulated_part(C: Hypergraph, d: int, A: frozenset, memo: dict) -> bool:
-    """Whether C[A] is triangulated, by is_triangulated's elimination;
-    memo maps every vertex set decided so far to its verdict."""
+def _triangulated_part(T: _StepTable, d: int, A: int, memo: dict) -> bool:
+    """Whether C[A], A a vertex mask, is triangulated, by is_triangulated's
+    elimination; memo maps every vertex mask decided so far to its verdict."""
     if A in memo:
         return memo[A]
-    sub = C.induced(A)
-    isolated = sub.isolated_vertices()
-    if not sub.edges:
+    part = T.inside(A)
+    covered = 0
+    for j in _ones(part):
+        covered |= T.masks[j]
+    if not part:
         ok = True
-    elif isolated:
-        ok = _triangulated_part(C, d, A - isolated, memo)
+    elif A & ~covered:
+        ok = _triangulated_part(T, d, covered, memo)
     else:
         ok = False
-        for v in sorted(A):
-            if not _neighborhood_complete(sub, v, d):
+        for v in _ones(A):
+            if not _neighborhood_complete(T, part, v, d):
                 continue
-            if not _triangulated_part(C, d, A - {v}, memo):
+            if not _triangulated_part(T, d, A & ~(1 << v), memo):
                 break
-            if _is_decomposition_vertex(sub, v, d):
+            if d == 2 or _chain_occurrences_ok(T, part, v):
                 ok = True
                 break
     memo[A] = ok
@@ -423,7 +636,8 @@ def is_triangulated(C: Hypergraph) -> bool:
     """Every nonempty induced subhypergraph has a decomposition vertex.
 
     Decided by eliminating one decomposition vertex per level, memoized
-    on the vertex set A of the induced part C[A].  It rests on a lemma:
+    on the vertex set A of the induced part C[A], over one step table that
+    every part shares.  It rests on a lemma:
 
     (i) A decomposition vertex v of C[A] is one of C[B] for every B with
         v in B and B inside A.  Chains of C[B] are chains of C[A], and
@@ -451,7 +665,7 @@ def is_triangulated(C: Hypergraph) -> bool:
     n = C.order
     if n > triangulated_cap():
         raise CapacityExceeded(f"{n} vertices exceeds the triangulated check cap")
-    return _triangulated_part(C, d, C.vertices, {})
+    return _triangulated_part(_StepTable(C), d, (1 << n) - 1, {})
 
 
 def hypergraph_geq(C: Hypergraph, F) -> Hypergraph:
@@ -465,10 +679,6 @@ def hypergraph_geq(C: Hypergraph, F) -> Hypergraph:
         raise EdgeNotPresent(f"{sorted(F)} is not an edge")
     if not is_properly_connected(C):
         raise NotProperlyConnected("input is not properly connected")
-    d = C.uniform_size()
-    far = [
-        G
-        for G in C.edges
-        if G != F and shortest_chain(C, F, G, max_length=d) is None
-    ]
+    near = _reach(_StepTable(C), C.edges.index(F), C.uniform_size())
+    far = [G for j, G in enumerate(C.edges) if not near >> j & 1]
     return Hypergraph(C.vertices - F - C.neighbor_set(F), far)

@@ -15,6 +15,7 @@ recursive invariants.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable
 
 from .errors import (
@@ -62,11 +63,13 @@ class Hypergraph:
                     f"edge {sorted(e)} is not inside the vertex set"
                 )
         elist = sorted(eset, key=_edge_key)
+        # only a strictly larger edge can contain e, and those come after it
+        sizes = [len(e) for e in elist]
         for i, e in enumerate(elist):
-            for f in elist[i + 1 :]:
-                if e < f or f < e:
+            for j in range(bisect_right(sizes, sizes[i]), len(elist)):
+                if e < elist[j]:
                     raise ComparableEdges(
-                        f"edges {sorted(e)} and {sorted(f)} are comparable"
+                        f"edges {sorted(e)} and {sorted(elist[j])} are comparable"
                     )
         self._init_fields(vset, tuple(elist))
 

@@ -281,6 +281,42 @@ def chain_distance(edges, F, G) -> float:
     return INF
 
 
+def chain_walk(edges, start, cap) -> list:
+    """Every proper chain from the edge start with at most cap pivots, as
+    (edges, pivots) tuples, in the order of a depth-first search that
+    extends a chain by each new edge in the given order and then by each
+    of its pivots in ascending order.  The same edge sequence appears once
+    per pivot choice."""
+    es = [frozenset(e) for e in edges]
+    out = []
+
+    def grow(seq, pivots):
+        out.append((tuple(seq), tuple(pivots)))
+        if len(pivots) == cap:
+            return
+        for e in es:
+            if e in seq or len(seq[-1] & e) != len(e) - 1:
+                continue
+            for x in sorted(seq[-1] & e):
+                if x not in pivots:
+                    grow(seq + [e], pivots + [x])
+
+    grow([frozenset(start)], [])
+    return out
+
+
+def first_shortest_chains(edges, F) -> dict:
+    """Map each edge G that a proper chain from F reaches to the first
+    chain of least length from F to G in chain_walk's order, as (edges,
+    pivots)."""
+    firsts = {}
+    for chain in chain_walk(edges, F, len(edges) - 1):
+        G = chain[0][-1]
+        if G not in firsts or len(chain[1]) < len(firsts[G][1]):
+            firsts[G] = chain
+    return firsts
+
+
 def has_pivots(seq) -> bool:
     """Whether some distinct pivots make the edge sequence a proper chain."""
     n = len(seq) - 1

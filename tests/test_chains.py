@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -25,7 +26,13 @@ from hyperconn import (
     is_triangulated,
     shortest_chain,
 )
-from hyperconn.chains import _chain_occurrences_ok, _is_decomposition_vertex, _redundant
+from hyperconn.chains import (
+    _chain_occurrences_ok,
+    _is_decomposition_vertex,
+    _redundant,
+    _StepTable,
+    _walk,
+)
 from hyperconn.fixtures import cycle_hypergraph, path_hypergraph
 from hyperconn.generators import (
     all_graphs,
@@ -40,6 +47,52 @@ import oracles
 
 def fs(*xs):
     return frozenset(xs)
+
+
+def masks(edges):
+    """Vertex masks of edges on small nonnegative vertex ids."""
+    return [sum(1 << v for v in e) for e in edges]
+
+
+def is_decomposition_vertex(H, v, d, A=None):
+    """_is_decomposition_vertex on the part of H induced on A (default: all
+    of H), read off H's step table."""
+    T = _StepTable(H)
+    A = H.vertices if A is None else A
+    part = T.inside(sum(1 << i for i, u in enumerate(T.vertex) if u in A))
+    return _is_decomposition_vertex(T, part, T.vertex.index(v), d)
+
+
+def occurrences_ok(H, v):
+    T = _StepTable(H)
+    return _chain_occurrences_ok(T, (1 << len(H.edges)) - 1, T.vertex.index(v))
+
+
+def walked_sequences(H, start, cap):
+    """Every edge sequence _walk visits from start, as edge tuples."""
+    out = []
+
+    def visit(seq):
+        out.append(tuple(H.edges[j] for j in seq))
+
+    _walk(_StepTable(H), H.edges.index(start), cap, visit)
+    return out
+
+
+def chain_draws(seed):
+    """Seeded 3-uniform, 4-uniform and mixed-size inputs on at most 7
+    vertices, small enough for the pivot-enumerating oracle."""
+    rng = random.Random(seed)
+    draws = []
+    for i in range(36):
+        if i % 3 < 2:
+            draws.append(random_uniform_hypergraph(rng, 7, 3 + i % 3, max_edges=9))
+        else:
+            H = random_hypergraph(rng, 7)
+            while len(H.edges) > 9:
+                H = random_hypergraph(rng, 7)
+            draws.append(H)
+    return draws
 
 
 def proper_chains(edges):
@@ -130,7 +183,7 @@ class TestProperChain:
         # a Hypergraph refuses such edges, so no chord test meets this chain
         seq = [fs(0, 2, 3), fs(1, 2), fs(0, 1), fs(0, 3), fs(2, 3)]
         assert oracles.irredundant(seq)
-        assert _redundant(seq)
+        assert _redundant(masks(seq))
         with pytest.raises(ComparableEdges):
             Hypergraph(range(4), seq)
 
@@ -194,6 +247,75 @@ class TestDistance:
                 assert is_proper_chain(H, ch)
                 assert ch.length == d
                 assert is_irredundant(H, ch)
+
+
+class TestEdgeSequenceWalk:
+    def test_visits_each_proper_edge_sequence_once(self):
+        # the edge sequences of the pivot-enumerating oracle's chains are
+        # exactly the ones the walk visits, and the walk repeats none
+        repeated = 0
+        for H in chain_draws(66):
+            cap = len(H.edges) - 1
+            for F in H.edges:
+                walked = walked_sequences(H, F, cap)
+                chains = oracles.chain_walk(H.edges, F, cap)
+                assert len(walked) == len(set(walked)), H
+                assert set(walked) == {edges for edges, _ in chains}, (H, F)
+                repeated += len(chains) - len(walked)
+        assert repeated > 0
+
+    def test_shortest_chain_is_the_oracles_first(self):
+        # edges and pivots of the first least-length chain that the
+        # (edge, pivot) depth-first search meets, on every edge pair
+        found = 0
+        for H in chain_draws(67):
+            for F in H.edges:
+                firsts = oracles.first_shortest_chains(H.edges, F)
+                for G in H.edges:
+                    want = firsts.get(G)
+                    got = shortest_chain(H, F, G)
+                    if want is None:
+                        assert got is None, (H, F, G)
+                    else:
+                        assert (got.edges, got.pivots) == want, (H, F, G)
+                        found += F != G
+        assert found > 0
+
+    def test_pinned_four_uniform_witness(self):
+        # the least edge sequence of length 5 with its least pivots ends
+        # {2 4 5 6} -[6]- {1 2 4 6} -[4]- {1 3 4 6}, which is not the first
+        # chain; the self-reduction fixes (edge, pivot) pairs together
+        rows = ["1 2 3 7", "1 2 4 6", "1 2 5 7", "1 3 4 6", "1 3 5 7",
+                "2 3 4 6", "2 4 5 6", "2 4 5 7", "2 5 6 7", "3 5 6 7"]
+        H = Hypergraph(range(1, 8), [map(int, r.split()) for r in rows])
+        ch = shortest_chain(H, {1, 2, 3, 7}, {1, 3, 4, 6})
+        assert ch.describe() == (
+            "{1 2 3 7} -[1]- {1 2 5 7} -[2]- {2 4 5 7} -[4]- {2 4 5 6}"
+            " -[6]- {2 3 4 6} -[3]- {1 3 4 6}"
+        )
+        firsts = oracles.first_shortest_chains(H.edges, {1, 2, 3, 7})
+        assert (ch.edges, ch.pivots) == firsts[frozenset({1, 3, 4, 6})]
+
+    def test_fan_has_no_three_distinct_pivots(self):
+        # every two fan edges meet in {1 2}, so every sequence is a walk of
+        # steps, but a third step finds no pivot the first two left free
+        H = Hypergraph(range(1, 7), [{1, 2, 3}, {1, 2, 4}, {1, 2, 5}, {1, 2, 6}])
+        for F in H.edges:
+            assert max(map(len, walked_sequences(H, F, 3))) == 3
+
+    def test_long_chain_needs_no_recursion(self):
+        # 397 steps along the 3-uniform tight path under a recursion limit
+        # far below the chain length
+        n = 400
+        H = Hypergraph(range(1, n + 1), [{i, i + 1, i + 2} for i in range(1, n - 1)])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            ch = shortest_chain(H, {1, 2, 3}, {n - 2, n - 1, n})
+        finally:
+            sys.setrecursionlimit(limit)
+        assert ch.length == n - 3
+        assert ch.pivots == tuple(range(2, n - 1))
 
 
 class TestProperlyConnected:
@@ -319,13 +441,15 @@ class TestTriangulated:
             extra = frozenset(rng.sample(sorted(G.vertices), 3))
             H = Hypergraph(G.vertices, set(G.edges) | {extra})
             for v in sorted(H.vertices):
-                if not _is_decomposition_vertex(H, v, 3):
+                if not is_decomposition_vertex(H, v, 3):
                     continue
                 rest = sorted(H.vertices - {v})
                 for r in range(len(rest) + 1):
                     for B in itertools.combinations(rest, r):
                         sub = H.induced({v, *B})
-                        assert _is_decomposition_vertex(sub, v, 3), (H, v, B)
+                        assert is_decomposition_vertex(sub, v, 3), (H, v, B)
+                        # the same part read off the whole hypergraph's table
+                        assert is_decomposition_vertex(H, v, 3, {v, *B}), (H, v, B)
                         chain_tested += sub.degree(v) > 2
         assert chain_tested > 0
 
@@ -353,7 +477,7 @@ class TestTriangulated:
                 if H.degree(v) < 3:
                     continue
                 ok = oracles.max_irredundant_occurrences(H.edges, v) <= 2
-                assert _chain_occurrences_ok(H, v) == ok, (H, v)
+                assert occurrences_ok(H, v) == ok, (H, v)
                 seen.add(ok)
         assert seen == {True, False}
         # each has an irredundant chain of three edges holding v, such as
@@ -366,7 +490,7 @@ class TestTriangulated:
         ):
             H = Hypergraph(range(1, 7), edges)
             assert oracles.max_irredundant_occurrences(H.edges, v) == 3
-            assert not _chain_occurrences_ok(H, v)
+            assert not occurrences_ok(H, v)
 
 
 class TestSplitting:

@@ -1,5 +1,6 @@
 """Hypergraph construction, validation, and the two reduction operations."""
 
+import itertools
 import random
 
 import pytest
@@ -34,6 +35,33 @@ class TestValidation:
     def test_edges_incomparable(self):
         with pytest.raises(ComparableEdges):
             Hypergraph([1, 2, 3], [{1, 2}, {1, 2, 3}])
+
+    def test_first_comparable_pair_is_named(self):
+        # several comparable pairs across three sizes: the message names
+        # the first edge in canonical order that lies in a later one, and
+        # the first such later edge
+        edges = [{1, 2, 3, 4}, {5, 6}, {1, 2}, {5, 6, 7}, {2, 3, 4}, {3, 4, 5, 6, 7}]
+        with pytest.raises(ComparableEdges) as err:
+            Hypergraph(range(1, 8), edges)
+        assert str(err.value) == "edges [1, 2] and [1, 2, 3, 4] are comparable"
+        rng = random.Random(7)
+        subsets = [
+            frozenset(s) for k in (2, 3, 4) for s in itertools.combinations(range(6), k)
+        ]
+        raised = 0
+        for _ in range(200):
+            es = sorted(set(rng.sample(subsets, 6)), key=lambda e: (len(e), sorted(e)))
+            pairs = ((e, f) for i, e in enumerate(es) for f in es[i + 1 :])
+            first = next(((e, f) for e, f in pairs if e < f or f < e), None)
+            if first is None:
+                Hypergraph(range(6), es)
+                continue
+            with pytest.raises(ComparableEdges) as err:
+                Hypergraph(range(6), reversed(es))
+            e, f = first
+            assert str(err.value) == f"edges {sorted(e)} and {sorted(f)} are comparable"
+            raised += 1
+        assert raised > 0
 
     def test_edge_inside_vertex_set(self):
         with pytest.raises(EdgeOutsideVertexSet):
