@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Commands read a hypergraph (or facet list) from a file or stdin, run one
-computation, and print a small plain-text report.  Exit codes: 0 success,
-2 parse or validation problem, 3 resource budget exceeded, 4 theorem
-violation found by the verification harness.
+computation, and print a small plain-text report.  Exit codes: 0 success
+(also when the reader closes standard output early), 2 parse or
+validation problem, 3 resource budget exceeded, 4 theorem violation found
+by the verification harness.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .chains import (
@@ -252,7 +254,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output, having read all it wanted;
+        # point it at devnull so the interpreter's last flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -15,7 +15,8 @@ Conventions
   column j for the j-th k-face of the k-th boundary map d_k.
 * reduced_homology first removes coreduction pairs, by the coreduction
   lemma below (Mrozek and Batko, "Coreduction homology algorithm",
-  Discrete Comput. Geom. 41, 2009), and builds boundary rows only on the
+  Discrete Comput. Geom. 41, 2009): one vertex's star in a single sweep
+  (the sweep lemma), then a queue.  It builds boundary rows only on the
   faces left.
 
 Coreduction lemma.  Let b be a k-cell of a chain complex of free modules
@@ -45,6 +46,22 @@ has the reduced homology, torsion included, of the whole complex.  Each
 pair takes one face from each of two adjacent dimensions, so the Euler
 characteristic is unchanged as well.  No free-face (elementary)
 reduction is used.
+
+Sweep lemma.  Let v be a vertex of the complex, and take the faces s of
+lk v (the faces without v for which s + v is a face), the empty face
+first, by increasing size.  Removing each s together with s + v, in that
+order, removes coreduction pairs one at a time, and it leaves the faces
+of delta - v outside lk v.
+
+Proof.  When s comes up, s and s + v are both live: a face of lk v is
+removed only at its own turn, and s + v only with s, as every face with
+v is t + v for exactly one face t of lk v.  The boundary faces of s + v
+are s and, for each w in s, (s - w) + v.  Each s - w lies in lk v, since
+(s - w) + v lies in s + v, and it is smaller than s, so (s - w) + v went
+at the turn of s - w.  So s is the one live boundary face of s + v, and
+(s, s + v) is a pair (a, b) of the lemma above.  What is left misses
+every face with v and every face of lk v, and keeps the rest: the
+closed star of v, a cone and so acyclic, goes whole.
 
 The connectivity number conn_h is the largest k such that the reduced
 homology vanishes in every dimension from -1 through k: -2 when homology is
@@ -187,20 +204,43 @@ class HomologyProfile:
 def _coreduce(levels: list[set[int]]) -> list[list[int]]:
     """The faces that coreduction leaves, by level, each level ascending.
 
-    A face is live until removed; live[f] counts its live boundary faces.
-    The first vertex goes first, so it pairs with the empty face; after
-    that, any face with exactly one live boundary face is removed together
+    One sweep first pairs off the star of a vertex v, the vertex in the
+    most top-level faces (the lowest bit on ties): every face s without v
+    for which s + v is a face goes with s + v, the empty face with {v}
+    (the sweep lemma of the module docstring).  It looks up one coface,
+    s + v, per face instead of scanning all of them: the faces left are
+    those of delta - v outside lk v, and live[f] counts the live boundary
+    faces of each, by one scan of its boundary.
+    Then any face with exactly one live boundary face is removed together
     with that face, and the counts of the live cofaces of both go down.
-    Faces are taken first in, first out, as their counts reach 1, so the
-    pairing grows outward from the first vertex; taken last in, first out,
-    they left about nine times as many faces on the homology-large bench
-    pool.  By the coreduction lemma of the module docstring, what is left
-    has the reduced homology of the whole complex under the restricted
-    boundaries.
+    Faces are taken first in, first out, as their counts reach 1, starting
+    from the faces the sweep left with count 1 in ascending mask order; on
+    the homology-large bench pool that order left 599 faces, against 851
+    when they were queued level by level in set order.  By the coreduction
+    lemma, what is left has the reduced homology of the whole complex
+    under the restricted boundaries.
     """
-    live = {f: k for k, level in enumerate(levels) for f in level}
-    full = (1 << len(levels[1])) - 1 if len(levels) > 1 else 0
-    queue = deque([1] if full else [])
+    n = len(levels[1]) if len(levels) > 1 else 0
+    top = levels[-1]
+    v = 1 << max(range(n), key=lambda i: sum(f >> i & 1 for f in top)) if n else 0
+    live: dict[int, int] = {}
+    seeds: list[int] = []
+    for k, level in enumerate(levels):
+        above = levels[k + 1] if k + 1 < len(levels) else ()
+        for f in level:
+            if f & v or f | v in above:
+                continue
+            c, rest = 0, f
+            while rest:
+                low = rest & -rest
+                c += f ^ low in live
+                rest ^= low
+            live[f] = c
+            if c == 1:
+                seeds.append(f)
+    queue = deque(sorted(seeds))
+    # no coface x + v of a live x is a face: x would be in lk v, swept
+    full = ((1 << n) - 1) ^ v
     while queue:
         b = queue.popleft()
         if live.get(b) != 1:

@@ -3,11 +3,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hyperconn
 from hyperconn.cli import main
 
 
@@ -217,6 +220,25 @@ class TestFixtureCommand:
 
 
 class TestExitCodes:
+    def test_reader_closing_early_exits_0(self, tmp_path):
+        # the reader takes 10 bytes of an 8,008-edge document and closes the
+        # pipe: a closed standard output is not an input error
+        package_root = os.path.dirname(os.path.dirname(hyperconn.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        argv = ["fixture", "complete(16,6)", "--emit", "json"]
+        err = tmp_path / "stderr"
+        with open(err, "wb") as fh:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "hyperconn.cli", *argv],
+                stdout=subprocess.PIPE,
+                stderr=fh,
+                env=env,
+            )
+            assert proc.stdout.read(10) == b'{\n  "name"'
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+        assert err.read_bytes() == b""
+
     def test_parse_error(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("1\n")

@@ -8,6 +8,7 @@ import pytest
 from hyperconn import (
     INF,
     CapacityExceeded,
+    Hypergraph,
     SimplicialComplex,
     conn_h,
     fixture,
@@ -152,6 +153,33 @@ def random_complexes(seed):
         ]
         out.append(SimplicialComplex(pool))
     return out
+
+
+def ind_3_uniform(seed):
+    """Ind of six seeded 3-uniform hypergraphs, one on each of 8..13
+    vertices, with 6n to 8n edges (every triple when there are fewer)."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(8, 14):
+        cand = list(itertools.combinations(range(1, n + 1), 3))
+        m = min(len(cand), rng.randint(6 * n, 8 * n))
+        out.append(independence_complex(Hypergraph(range(1, n + 1), rng.sample(cand, m))))
+    return out
+
+
+def cones():
+    """Cones over RP^2 with the apex at the lowest (0), a middle (4) and the
+    highest (7) label, and over the acyclic Lutz complex at 0."""
+    middle = {v: v + (v >= 4) for v in range(1, 7)}
+    out = [SimplicialComplex(f + (apex,) for f in RP2_FACETS) for apex in (0, 7)]
+    out.append(SimplicialComplex((4,) + tuple(middle[v] for v in f) for f in RP2_FACETS))
+    out.append(SimplicialComplex(f | {0} for f in lutz_acyclic_complex().facets))
+    return out
+
+
+# RP^2 wedged at vertex 6 with the boundary of the simplex 6 7 8 9: vertex 6
+# lies in 8 of the 14 triangles, more than any other, so its star is swept
+RP2_WEDGE_SPHERE = RP2_FACETS + [(6, 7, 8), (6, 7, 9), (6, 8, 9), (7, 8, 9)]
 
 
 class TestKnownSpaces:
@@ -326,10 +354,11 @@ class TestCoreduction:
             SimplicialComplex([]),
             full_simplex([4]),
             full_simplex(range(1, 7)),
-            SimplicialComplex(f + (7,) for f in RP2_FACETS),
             SimplicialComplex(RP2_FACETS),
+            SimplicialComplex(RP2_WEDGE_SPHERE),
             lutz_acyclic_complex(),
         ]
+        complexes += cones() + random_complexes(24) + ind_3_uniform(24)
         for d in complexes:
             prof = reduced_homology(d)
             faces = d.faces()
@@ -338,21 +367,34 @@ class TestCoreduction:
             assert prof.torsion == oracles.torsion(faces), d.facets
 
     def test_simplex_and_cone_coreduce_to_nothing(self):
-        cones = [
-            SimplicialComplex(f + (apex,) for f in RP2_FACETS) for apex in (0, 7)
-        ]
-        lutz = lutz_acyclic_complex()
-        cones.append(SimplicialComplex(f | {0} for f in lutz.facets))
-        for d in [full_simplex([1]), full_simplex(range(1, 8))] + cones:
+        for d in [full_simplex([1]), full_simplex(range(1, 8))] + cones():
             assert not any(coreduced(d)), d.facets
         # {empty} has no vertex to pair with; RP^2 keeps its torsion cells
         assert coreduced(SimplicialComplex([])) == [[0]]
         assert sum(map(len, coreduced(SimplicialComplex(RP2_FACETS)))) > 0
 
+    def test_sweep_takes_the_busiest_star(self):
+        # vertex 6 is bit 5: no face with it, nor any face of its link, is
+        # left, while faces with vertex 1 (bit 0) are
+        d = SimplicialComplex(RP2_WEDGE_SPHERE)
+        faces = set().union(*_face_levels(d, None))
+        left = [f for fs in coreduced(d) for f in fs]
+        assert not any(f & 32 or f | 32 in faces for f in left)
+        assert any(f & 1 for f in left)
+
+    def test_faces_left_on_a_3_uniform_instance(self):
+        # Ind of the 13-vertex draw: 442 faces, reduced Betti numbers 8 in
+        # dimension 2 and 4 in dimension 3; 38 faces are left
+        d = ind_3_uniform(24)[-1]
+        assert sum(map(len, _face_levels(d, None))) == 442
+        assert [len(fs) for fs in coreduced(d)] == [0, 0, 0, 21, 17, 0]
+        assert reduced_homology(d).betti == {-1: 0, 0: 0, 1: 0, 2: 8, 3: 4, 4: 0}
+
     def test_what_is_left_is_a_chain_complex(self):
         # the coreduction lemma: the restricted maps still satisfy BA = 0
         complexes = [SimplicialComplex(f) for f, _ in torsion_pool()]
         complexes += random_complexes(18) + [lutz_acyclic_complex()]
+        complexes += [SimplicialComplex(RP2_WEDGE_SPHERE)] + ind_3_uniform(24)
         for d in complexes:
             live = coreduced(d)
             for k in range(1, len(live) - 1):
