@@ -109,32 +109,70 @@ class SimplicialComplex:
         verts = sorted(self.vertices)
         return frozenset(
             frozenset(v for i, v in enumerate(verts) if f >> i & 1)
-            for level in _face_levels(self, cap)
+            for level in _face_levels(self, cap)[0]
             for f in level
         )
 
 
-def _face_levels(delta: SimplicialComplex, cap: int | None) -> list[set[int]]:
-    """The faces of delta as vertex masks, vertex i of sorted(delta.vertices)
-    as bit i; level k holds the faces of k vertices, from the facets down.
-    Raises CapacityExceeded above the vertex cap before enumerating."""
+def _face_levels(
+    delta: SimplicialComplex, cap: int | None, exclude: Iterable = ()
+) -> tuple[list[dict[int, int]], dict[int, list[int]]]:
+    """(levels, up) for the faces of delta inside no facet of exclude
+    (facets of delta), the kept faces, as vertex masks, vertex i of
+    sorted(delta.vertices) as bit i.  Level k maps each kept face of k
+    vertices to the number of its boundary faces that are kept, and up
+    maps each kept face to its kept cofaces one vertex larger, ascending.
+    With exclude empty every face is kept, and its count is k.  Raises
+    CapacityExceeded above the vertex cap before enumerating.
+
+    The faces are reached from the facets outside exclude down, each
+    level in ascending order, and each boundary face is tested once per
+    level by the AND of occ[vertex], the excluded facets holding that
+    vertex as bits, over its vertices (zero when the face is kept).  The
+    enumeration lemma of the homology module docstring, which takes the
+    facets through one vertex, shows that this reaches every kept face;
+    its proof holds for any facets excluded."""
     n = len(delta.vertices)
     if n > vertex_cap(cap):
         raise CapacityExceeded(f"{n} vertices exceeds the face enumeration cap")
     index = {v: i for i, v in enumerate(sorted(delta.vertices))}
-    levels: list[set[int]] = [set() for _ in range(delta.dim + 2)]
-    levels[0].add(0)
-    for f in delta.facets:
-        levels[len(f)].add(sum(1 << index[v] for v in f))
-    for k in range(len(levels) - 1, 1, -1):
-        below = levels[k - 1]
-        for f in levels[k]:
+    exclude = set(exclude)
+    occ = [0] * n
+    for j, f in enumerate(exclude):
+        for v in f:
+            occ[index[v]] |= 1 << j
+    every = (1 << len(exclude)) - 1
+    levels: list[dict[int, int]] = [{} for _ in range(delta.dim + 2)]
+    up: dict[int, list[int]] = {}
+    for f in _facets_with_empty(delta):
+        if f not in exclude:
+            g = sum(1 << index[v] for v in f)
+            levels[len(f)][g] = len(f)
+            up[g] = []
+    for k in range(len(levels) - 1, 0, -1):
+        level, below, out = levels[k], levels[k - 1], set()
+        for f in sorted(level):
             rest = f
             while rest:
                 low = rest & -rest
-                below.add(f ^ low)
                 rest ^= low
-    return levels
+                g = f ^ low
+                if g in below:
+                    up[g].append(f)
+                    continue
+                if g not in out:
+                    a, bits = every, g
+                    while bits and a:
+                        b = bits & -bits
+                        bits ^= b
+                        a &= occ[b.bit_length() - 1]
+                    if not a:
+                        below[g] = k - 1
+                        up[g] = [f]
+                        continue
+                    out.add(g)
+                level[f] -= 1
+    return levels, up
 
 
 def full_simplex(vertices: Iterable[int]) -> SimplicialComplex:

@@ -49,20 +49,17 @@ def _sp_masks(delta: SimplicialComplex) -> tuple:
     _face_levels.
 
     v kills sigma (sigma + {v} is not a face) exactly when v is outside
-    sigma and sigma + {v} is missing from the level above; faces that kill
-    nothing are left out."""
+    sigma and sigma + {v} is not among the cofaces _face_levels lists for
+    sigma; faces that kill nothing are left out."""
     verts = sorted(delta.vertices)
     full = (1 << len(verts)) - 1
-    levels = _face_levels(delta, None)
+    levels, up = _face_levels(delta, None)
     faces = []
-    for level, above in zip(levels, levels[1:] + [set()]):
+    for level in levels:
         for smask in level:
-            kmask = rest = full & ~smask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if (smask | low) in above:
-                    kmask ^= low
+            kmask = full & ~smask
+            for y in up[smask]:
+                kmask ^= y ^ smask
             if kmask:
                 faces.append((smask, kmask))
     return verts, faces

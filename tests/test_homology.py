@@ -22,7 +22,7 @@ from hyperconn.fixtures import lutz_acyclic_complex
 from hyperconn.generators import random_hypergraph
 from hyperconn import homology
 from hyperconn.complexes import _face_levels
-from hyperconn.homology import _boundary_rows, _coreduce
+from hyperconn.homology import _boundary_rows, _coreduce, _star_facets
 
 import oracles
 
@@ -331,7 +331,34 @@ class TestBoundarySmith:
 
 def coreduced(d):
     """The faces of d left by coreduction, by level (faces of k vertices)."""
-    return _coreduce(_face_levels(d, None))
+    return _coreduce(d, None)
+
+
+def swept(d, v):
+    """What the set-wise sweep of the vertex with mask v keeps (every face
+    for v = 0): the faces f of d with f & v == 0 and f | v not a face, by
+    level, each mapped to its number of boundary faces that are kept, and
+    each kept face's kept cofaces, ascending."""
+    faces = set().union(*_face_levels(d, None)[0])
+    kept = {f for f in faces if not v or not f & v and f | v not in faces}
+    bits = [1 << i for i in range(len(d.vertices))]
+    levels = [{} for _ in range(d.dim + 2)]
+    up = {}
+    for f in kept:
+        levels[f.bit_count()][f] = sum(f ^ b in kept for b in bits if f & b)
+        up[f] = [f | b for b in bits if not f & b and f | b in kept]
+    return levels, up
+
+
+def busiest(d):
+    """The vertex in the most facets of the largest size, the lowest on ties."""
+    top = [f for f in d.facets if len(f) == d.dim + 1]
+    return min(sorted(d.vertices), key=lambda u: -sum(u in f for f in top))
+
+
+# facets of four sizes: vertex 2 is in both tetrahedra, so its star is
+# swept, and the triangle 2 3 8 through it is excluded with them
+MIXED_SIZES = [(1, 2, 3, 4), (2, 5, 6, 7), (2, 3, 8), (4, 8), (7, 9), (10,)]
 
 
 class TestCoreduction:
@@ -377,7 +404,7 @@ class TestCoreduction:
         # vertex 6 is bit 5: no face with it, nor any face of its link, is
         # left, while faces with vertex 1 (bit 0) are
         d = SimplicialComplex(RP2_WEDGE_SPHERE)
-        faces = set().union(*_face_levels(d, None))
+        faces = set().union(*_face_levels(d, None)[0])
         left = [f for fs in coreduced(d) for f in fs]
         assert not any(f & 32 or f | 32 in faces for f in left)
         assert any(f & 1 for f in left)
@@ -386,9 +413,70 @@ class TestCoreduction:
         # Ind of the 13-vertex draw: 442 faces, reduced Betti numbers 8 in
         # dimension 2 and 4 in dimension 3; 38 faces are left
         d = ind_3_uniform(24)[-1]
-        assert sum(map(len, _face_levels(d, None))) == 442
+        assert sum(map(len, _face_levels(d, None)[0])) == 442
         assert [len(fs) for fs in coreduced(d)] == [0, 0, 0, 21, 17, 0]
         assert reduced_homology(d).betti == {-1: 0, 0: 0, 1: 0, 2: 8, 3: 4, 4: 0}
+
+    def test_enumeration_matches_the_setwise_sweep(self):
+        # every vertex's star excluded in turn, the busiest one among them
+        complexes = random_complexes(24) + ind_3_uniform(24) + cones()
+        complexes += [SimplicialComplex(f) for f in (RP2_WEDGE_SPHERE, MIXED_SIZES)]
+        for d in complexes:
+            verts = sorted(d.vertices)
+            for i, u in enumerate(verts):
+                star = [f for f in d.facets if u in f]
+                assert _face_levels(d, None, star) == swept(d, 1 << i), (d.facets, u)
+            star = [f for f in d.facets if busiest(d) in f]
+            assert _star_facets(d) == star, d.facets
+            # with nothing excluded, every face with all of its boundary
+            levels, up = _face_levels(d, None)
+            assert (levels, up) == swept(d, 0)
+            assert all(c == k for k, fs in enumerate(levels) for c in fs.values())
+            assert set().union(*levels) == {
+                sum(1 << verts.index(u) for u in f) for f in d.faces()
+            }
+
+    def test_enumeration_edge_cases(self):
+        # {empty}: no vertex, nothing excluded, the empty face alone
+        empty = SimplicialComplex([])
+        assert _star_facets(empty) == []
+        assert _face_levels(empty, None, [])[0] == [{0: 0}]
+        # a single vertex, and every cone: its star is the whole complex
+        for d in [full_simplex([4])] + cones():
+            star = _star_facets(d)
+            assert star == list(d.facets), d.facets
+            assert not any(_face_levels(d, None, star)[0]), d.facets
+        # a tie: every vertex of the 3-simplex boundary and of RP^2 is in
+        # as many top faces as any other, and the lowest is taken
+        assert set(_star_facets(simplex_boundary(range(1, 5)))) == {
+            frozenset(f) for f in [(1, 2, 3), (1, 2, 4), (1, 3, 4)]
+        }
+        assert all(1 in f for f in _star_facets(SimplicialComplex(RP2_FACETS)))
+        # facets of mixed sizes: only the largest count, where vertex 2 is
+        # in both; the smaller facets through 2 are excluded as well
+        d = SimplicialComplex(MIXED_SIZES)
+        assert set(_star_facets(d)) == {
+            frozenset(f) for f in [(1, 2, 3, 4), (2, 5, 6, 7), (2, 3, 8)]
+        }
+        levels, up = _face_levels(d, None, _star_facets(d))
+        assert (levels, up) == swept(d, 2)
+        assert up == {256: [320], 512: [], 136: [], 320: []}
+        # the facets kept are {4, 8}, {7, 9} and {10}; of their boundary
+        # faces only {9} is kept, as {4}, {7}, {8} and the empty face lie
+        # in the star
+        assert [sorted(fs.items()) for fs in levels] == [
+            [], [(256, 0), (512, 0)], [(136, 0), (320, 1)], [], [],
+        ]
+        prof = reduced_homology(d)
+        assert prof.betti == oracles.betti_numbers(d.faces())
+
+    def test_assertion_catches_what_is_not_a_chain_complex(self, monkeypatch):
+        # ab and bc of the triangle abc without the vertex b: d_1 d_2 (abc)
+        # = d_1 (ab + bc) = c - a, so reduced_homology must refuse it
+        left = [[], [1, 4], [3, 6], [7]]
+        monkeypatch.setattr(homology, "_coreduce", lambda d, cap: left)
+        with pytest.raises(AssertionError):
+            reduced_homology(full_simplex([1, 2, 3]))
 
     def test_what_is_left_is_a_chain_complex(self):
         # the coreduction lemma: the restricted maps still satisfy BA = 0
