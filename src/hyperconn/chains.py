@@ -127,7 +127,7 @@ from .errors import (
     ValidationError,
 )
 from .extnat import INF, ExtNat
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _bitsets, _ones
 from .limits import triangulated_cap
 
 __all__ = [
@@ -189,31 +189,16 @@ def is_proper_chain(C: Hypergraph, chain: ProperChain) -> bool:
     return True
 
 
-def _ones(mask: int):
-    """The indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class _StepTable:
-    """Vertices as bits in sorted-id order, edges as vertex masks in
-    C.edges order, and for each edge E_i the steps (j, S) out of it, in
-    edge order: every j with |E_i & E_j| = |E_j| - 1 and S = E_i & E_j.
-    The steps are listed on the first walk, as many callers need none."""
+    """The _bitsets encoding of C.edges (vertex, masks, and incident[x],
+    the edges holding x), and for each edge E_i the steps (j, S) out of
+    it, in edge order: every j with |E_i & E_j| = |E_j| - 1, S = E_i & E_j,
+    listed on the first walk, as many callers need none."""
 
     __slots__ = ("vertex", "masks", "incident", "_steps")
 
     def __init__(self, C: Hypergraph):
-        self.vertex = sorted(C.vertices)
-        bit = {v: i for i, v in enumerate(self.vertex)}
-        self.masks = [sum(1 << bit[v] for v in e) for e in C.edges]
-        # incident[x]: the edges holding vertex x, as a mask of edge indices
-        self.incident = [0] * len(self.vertex)
-        for j, e in enumerate(C.edges):
-            for v in e:
-                self.incident[bit[v]] |= 1 << j
+        self.vertex, self.masks, self.incident = _bitsets(C.vertices, C.edges)
         self._steps = None
 
     def steps(self) -> list:
@@ -381,8 +366,7 @@ def is_irredundant(C: Hypergraph, chain: ProperChain) -> bool:
     """
     if not is_proper_chain(C, chain):
         raise ValidationError("not a proper chain")
-    bit = {v: i for i, v in enumerate(sorted(C.vertices))}
-    return not _redundant([sum(1 << bit[v] for v in e) for e in chain.edges])
+    return not _redundant(_bitsets(C.vertices, chain.edges)[1])
 
 
 def _ends_at(g: int):
@@ -483,8 +467,8 @@ def c_max_disjoint(C: Hypergraph) -> int:
     distance >= d + 1, the threshold of the contraction identities.
 
     Uses the conflict graph (edges at distance <= d adjacent), read off
-    one walk of at most d steps from each edge, and a simple exact branch
-    and bound for its maximum independent set.  Distance is symmetric on
+    one walk of at most d steps from each edge, and an exact branch and
+    bound for its maximum independent set.  Distance is symmetric on
     equal-size edges, since a reversed proper chain is one.  0 for an
     edgeless hypergraph; mixed edge sizes raise NotUniform.
     """
@@ -495,21 +479,32 @@ def c_max_disjoint(C: Hypergraph) -> int:
         raise NotUniform("c_max_disjoint needs a d-uniform hypergraph")
     T = _StepTable(C)
     conflict = [_reach(T, i, d) for i in range(len(C.edges))]
-    return _grow(conflict, 0, list(range(len(C.edges))), 0)
+    return _grow(conflict, 0, (1 << len(C.edges)) - 1, 0)
 
 
-def _grow(conflict: list, chosen: int, cand: list, best: int) -> int:
+def _grow(conflict: list, chosen: int, cand: int, best: int) -> int:
     """The larger of best and chosen plus a largest independent subset of
-    cand in the conflict graph, given as masks of edge indices, branching
-    on cand[0] in, then out."""
-    if chosen + len(cand) <= best:
-        return best
-    if not cand:
-        return chosen
-    v, rest = cand[0], cand[1:]
-    apart = [u for u in rest if not conflict[v] >> u & 1]
-    best = _grow(conflict, chosen + 1, apart, best)
-    return _grow(conflict, chosen, rest, best)
+    the candidates cand in the conflict graph, conflict[i] the edges in
+    conflict with edge i, i included, all masks of edge indices.
+
+    A candidate whose conflicting candidates all conflict with each other
+    is taken without branching: a largest independent subset holds at
+    most one of them, and swapping it for the candidate keeps the subset
+    independent.  Otherwise the lowest one is branched on, in, then out."""
+    while cand:
+        if chosen + cand.bit_count() <= best:
+            return best
+        for v in _ones(cand):
+            near = conflict[v] & cand
+            if all(not near & ~conflict[u] for u in _ones(near)):
+                chosen += 1
+                cand &= ~near
+                break
+        else:
+            v = (cand & -cand).bit_length() - 1
+            best = _grow(conflict, chosen + 1, cand & ~conflict[v], best)
+            cand ^= 1 << v
+    return max(best, chosen)
 
 
 def find_splitting_vertex(C: Hypergraph, F) -> int | None:

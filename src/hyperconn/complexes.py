@@ -17,7 +17,7 @@ from .errors import (
     OverlappingVertexSets,
     ValidationError,
 )
-from .hypergraph import Hypergraph, _edge_key
+from .hypergraph import Hypergraph, _bitsets, _edge_key
 from .limits import vertex_cap
 
 __all__ = [
@@ -118,37 +118,32 @@ def _face_levels(
     delta: SimplicialComplex, cap: int | None, exclude: Iterable = ()
 ) -> tuple[list[dict[int, int]], dict[int, list[int]]]:
     """(levels, up) for the faces of delta inside no facet of exclude
-    (facets of delta), the kept faces, as vertex masks, vertex i of
-    sorted(delta.vertices) as bit i.  Level k maps each kept face of k
-    vertices to the number of its boundary faces that are kept, and up
-    maps each kept face to its kept cofaces one vertex larger, ascending.
-    With exclude empty every face is kept, and its count is k.  Raises
+    (facets of delta), the kept faces, as the vertex masks of _bitsets
+    on delta.vertices.  Level k maps each kept face of k vertices to the
+    number of its boundary faces that are kept, and up maps each kept
+    face to its kept cofaces one vertex larger, ascending.  With exclude
+    empty every face is kept, and its count is k.  Raises
     CapacityExceeded above the vertex cap before enumerating.
 
     The faces are reached from the facets outside exclude down, each
     level in ascending order, and each boundary face is tested once per
-    level by the AND of occ[vertex], the excluded facets holding that
-    vertex as bits, over its vertices (zero when the face is kept).  The
+    level by the AND over its vertices of occ[vertex] from _bitsets, the
+    excluded facets first (zero on their bits when the face is kept).  The
     enumeration lemma of the homology module docstring, which takes the
     facets through one vertex, shows that this reaches every kept face;
     its proof holds for any facets excluded."""
     n = len(delta.vertices)
     if n > vertex_cap(cap):
         raise CapacityExceeded(f"{n} vertices exceeds the face enumeration cap")
-    index = {v: i for i, v in enumerate(sorted(delta.vertices))}
     exclude = set(exclude)
-    occ = [0] * n
-    for j, f in enumerate(exclude):
-        for v in f:
-            occ[index[v]] |= 1 << j
+    kept = [f for f in _facets_with_empty(delta) if f not in exclude]
+    _, masks, occ = _bitsets(delta.vertices, [*exclude, *kept])
     every = (1 << len(exclude)) - 1
     levels: list[dict[int, int]] = [{} for _ in range(delta.dim + 2)]
     up: dict[int, list[int]] = {}
-    for f in _facets_with_empty(delta):
-        if f not in exclude:
-            g = sum(1 << index[v] for v in f)
-            levels[len(f)][g] = len(f)
-            up[g] = []
+    for g in masks[len(exclude) :]:
+        levels[g.bit_count()][g] = g.bit_count()
+        up[g] = []
     for k in range(len(levels) - 1, 0, -1):
         level, below, out = levels[k], levels[k - 1], set()
         for f in sorted(level):
@@ -196,22 +191,15 @@ def _minimal_transversals(ground, family) -> list:
     alone meets some member; a branched vertex is a candidate again in
     later branches only.  Raises CapacityExceeded above the vertex cap.
 
-    Vertex i of sorted(ground) is bit i of a vertex mask, and member j is
-    bit j of an edge mask.  Each step keeps three edge masks: occ[v], the
-    members holding v; crit[u] for each chosen u, the members that u alone
-    of the chosen vertices meets; uncov, the members no chosen vertex
-    meets.  Adding v leaves crit[u] & ~occ[v] for each chosen u and gives
-    crit[v] = uncov & occ[v], so the choice stays minimal exactly when
-    every crit[u] & ~occ[v] is nonzero."""
+    Bits are numbered as in _bitsets.  Each step keeps three edge masks:
+    occ[v], the members holding v; crit[u] for each chosen u, the members
+    that u alone of the chosen vertices meets; uncov, the members no
+    chosen vertex meets.  Adding v leaves crit[u] & ~occ[v] for each
+    chosen u and gives crit[v] = uncov & occ[v], so the choice stays
+    minimal exactly when every crit[u] & ~occ[v] is nonzero."""
     if len(ground) > vertex_cap():
         raise CapacityExceeded(f"{len(ground)} vertices exceeds the enumeration cap")
-    verts = sorted(ground)
-    index = {v: i for i, v in enumerate(verts)}
-    members = [sum(1 << index[v] for v in e) for e in family]
-    occ = [0] * len(verts)
-    for j, e in enumerate(family):
-        for v in e:
-            occ[index[v]] |= 1 << j
+    verts, members, occ = _bitsets(ground, family)
     found: list = []
     _mmcs(members, occ, [], (1 << len(members)) - 1, (1 << len(verts)) - 1, found)
     return [frozenset(verts[u] for u, _ in chosen) for chosen in found]
@@ -265,9 +253,13 @@ def minimal_nonfaces(delta: SimplicialComplex) -> Hypergraph:
     minimal transversals of the complements.  Each vertex lies in a facet,
     so every one has size >= 2 and the result validates.
     """
+    return Hypergraph(delta.vertices, _minimal_nonfaces(delta))
+
+
+def _minimal_nonfaces(delta: SimplicialComplex) -> list:
+    """The minimal non-faces of delta as sets, unvalidated."""
     V = delta.vertices
-    family = [V - f for f in delta.facets or (frozenset(),)]
-    return Hypergraph(V, _minimal_transversals(V, family))
+    return _minimal_transversals(V, [V - f for f in _facets_with_empty(delta)])
 
 
 def link(delta: SimplicialComplex, sigma: Iterable[int]) -> SimplicialComplex:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .complexes import SimplicialComplex, _face_levels, independence_complex
+from .complexes import SimplicialComplex, _minimal_nonfaces, independence_complex
 from .errors import CapacityExceeded, NotASubset, NotSubfamily
 from .extnat import INF, ExtNat, ceil_half
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _bitsets, _ones
 from .limits import DEFAULT_COMBINATION_CAP
 
 __all__ = [
@@ -38,37 +38,35 @@ def sp_tilde(delta: SimplicialComplex, A) -> frozenset:
     A = frozenset(A)
     if not A <= delta.vertices:
         raise NotASubset(f"{sorted(A)} is not a subset of the vertex set")
-    verts, faces = _sp_masks(delta)
-    amask = sum(1 << i for i, v in enumerate(verts) if v in A)
-    sp = _killed(faces, amask, (1 << len(verts)) - 1)
-    return frozenset(v for i, v in enumerate(verts) if sp >> i & 1)
+    verts, pairs = _sp_masks(delta)
+    amask = _bitsets(delta.vertices, [A])[1][0]
+    sp = _killed(pairs, amask, (1 << len(verts)) - 1)
+    return frozenset(verts[i] for i in _ones(sp))
 
 
 def _sp_masks(delta: SimplicialComplex) -> tuple:
-    """Sorted vertices and (face mask, kill mask) pairs, the masks those of
-    _face_levels.
+    """Sorted vertices and the kill pairs of delta, as the vertex masks of
+    _bitsets: each N - v, for N a minimal non-face and v in N, with the
+    OR of the v it comes from.  Each N - v is a face, so by the lemma v
+    is in sp_tilde(A) exactly when some N - v lies in A.
 
-    v kills sigma (sigma + {v} is not a face) exactly when v is outside
-    sigma and sigma + {v} is not among the cofaces _face_levels lists for
-    sigma; faces that kill nothing are left out."""
-    verts = sorted(delta.vertices)
-    full = (1 << len(verts)) - 1
-    levels, up = _face_levels(delta, None)
-    faces = []
-    for level in levels:
-        for smask in level:
-            kmask = full & ~smask
-            for y in up[smask]:
-                kmask ^= y ^ smask
-            if kmask:
-                faces.append((smask, kmask))
-    return verts, faces
+    Lemma.  v kills a face sigma (sigma + v is not a face) exactly when
+    sigma contains N - v for some minimal non-face N holding v.
+    Proof.  (<=) sigma + v holds N.  (=>) sigma + v holds some minimal
+    non-face N; N is not inside the face sigma, so v is in N and N - v
+    lies in sigma."""
+    verts, nonfaces, _ = _bitsets(delta.vertices, _minimal_nonfaces(delta))
+    kills: dict[int, int] = {}
+    for N in nonfaces:
+        for i in _ones(N):
+            kills[N ^ 1 << i] = kills.get(N ^ 1 << i, 0) | 1 << i
+    return verts, list(kills.items())
 
 
-def _killed(faces: list, amask: int, full: int) -> int:
-    """OR of the kill masks of the faces inside amask, stopping at full."""
+def _killed(pairs: list, amask: int, full: int) -> int:
+    """OR of the kill masks of the pairs inside amask, stopping at full."""
     sp = 0
-    for smask, kmask in faces:
+    for smask, kmask in pairs:
         if smask & ~amask == 0:
             sp |= kmask
             if sp == full:
@@ -83,16 +81,14 @@ def gamma_tilde_witness(delta: SimplicialComplex) -> tuple[ExtNat, frozenset | N
     witness is deterministic.  INF when even the full vertex set fails,
     as for a full simplex.
     """
-    verts, faces = _sp_masks(delta)
+    verts, pairs = _sp_masks(delta)
     n = len(verts)
     full = (1 << n) - 1
+    bits = [1 << i for i in range(n)]
     for size in range(0, n + 1):
-        for combo in combinations(range(n), size):
-            amask = 0
-            for i in combo:
-                amask |= 1 << i
-            if _killed(faces, amask, full) == full:
-                return (size, frozenset(verts[i] for i in combo))
+        for combo in combinations(bits, size):
+            if _killed(pairs, sum(combo), full) == full:
+                return (size, frozenset(verts[b.bit_length() - 1] for b in combo))
     return (INF, None)
 
 

@@ -44,6 +44,33 @@ def _edge_key(e: frozenset) -> tuple:
     return (len(e), tuple(sorted(e)))
 
 
+def _bitsets(ground, family) -> tuple[list, list[int], list[int]]:
+    """(order, masks, occ), the bitset encoding every kernel reads: order
+    is sorted(ground), vertex order[i] is bit i of a vertex mask, masks[j]
+    is family[j] as a vertex mask, and occ[i] has bit j set when family[j]
+    holds order[i].  Every set of family must lie in ground."""
+    order = sorted(ground)
+    index = {v: i for i, v in enumerate(order)}
+    masks = []
+    occ = [0] * len(order)
+    for j, e in enumerate(family):
+        m, bit = 0, 1 << j
+        for v in e:
+            i = index[v]
+            m |= 1 << i
+            occ[i] |= bit
+        masks.append(m)
+    return order, masks, occ
+
+
+def _ones(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Hypergraph:
     """A vertex set together with an antichain of edges of size >= 2."""
 

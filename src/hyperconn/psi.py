@@ -93,7 +93,7 @@ import operator
 
 from .errors import BudgetExceeded, DepthExceeded, ValidationError
 from .extnat import INF, ExtNat
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _bitsets
 from .limits import psi_budget
 
 __all__ = ["PsiSolver", "psi", "psi_naive", "psi_witness", "degree_bound"]
@@ -101,16 +101,8 @@ __all__ = ["PsiSolver", "psi", "psi_naive", "psi_witness", "degree_bound"]
 
 def _encode(C: Hypergraph) -> tuple:
     """Bitmask state of a hypergraph plus each edge's mask in C.edges order."""
-    vlist = sorted(C.vertices)
-    index = {v: i for i, v in enumerate(vlist)}
-    vmask = (1 << len(vlist)) - 1
-    masks = []
-    for e in C.edges:
-        m = 0
-        for v in e:
-            m |= 1 << index[v]
-        masks.append(m)
-    return vmask, tuple(sorted(masks)), masks
+    order, masks, _ = _bitsets(C.vertices, C.edges)
+    return (1 << len(order)) - 1, tuple(sorted(masks)), masks
 
 
 def _cover(edges) -> int:
@@ -266,11 +258,7 @@ class PsiSolver:
     @_query
     def at_least(self, C: Hypergraph, k: ExtNat) -> bool:
         """Whether psi(C) >= k, decided by the window (k - 1, k)."""
-        vmask, edges, _fmasks = _encode(C)
-        if k == INF:
-            # no finite window separates INF
-            return self._val(vmask, edges) == INF
-        return self._search(vmask, edges, k - 1, k)[0] >= k
+        return self._reaches(*_encode(C)[:2], k)
 
     @_query
     def argmax_edge(self, C: Hypergraph):
@@ -281,20 +269,20 @@ class PsiSolver:
         vmask, edges, fmasks = _encode(C)
         v = self._val(vmask, edges)
         # F attains v exactly when both branches of its min reach v, since
-        # no edge's min exceeds the max.  The window probe (v - 1, v) decides
-        # the deletion branch; v = INF has no such window, so the branch is
-        # evaluated exactly
+        # no edge's min exceeds the max
         for F, fmask in zip(C.edges, fmasks):
             i = edges.index(fmask)
-            rest = edges[:i] + edges[i + 1 :]
             m1 = self._contract_value(vmask, edges, i) + len(F) - 1
-            if m1 >= v and (
-                self._val(vmask, rest) >= v
-                if v == INF
-                else self._search(vmask, rest, v - 1, v)[0] >= v
-            ):
+            if m1 >= v and self._reaches(vmask, edges[:i] + edges[i + 1 :], v):
                 return F
         raise AssertionError("no argmax edge found")
+
+    def _reaches(self, vmask: int, edges: tuple, k: ExtNat) -> bool:
+        """Whether the state's psi is at least k, by the window (k - 1, k),
+        or at INF, which no finite window separates, by the exact value."""
+        if k == INF:
+            return self._val(vmask, edges) == INF
+        return self._search(vmask, edges, k - 1, k)[0] >= k
 
     def _val(self, vmask: int, edges: tuple) -> ExtNat:
         """Exact value: the search with the full window."""

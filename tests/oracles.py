@@ -281,6 +281,22 @@ def chain_distance(edges, F, G) -> float:
     return INF
 
 
+def max_far_apart(edges, d) -> int:
+    """Most edges pairwise at chain_distance >= d + 1, by trying every
+    subfamily from the largest down; 0 when there are no edges."""
+    es = [frozenset(e) for e in edges]
+    near = {
+        (a, b)
+        for a, b in itertools.combinations(range(len(es)), 2)
+        if chain_distance(es, es[a], es[b]) <= d
+    }
+    for r in range(len(es), 0, -1):
+        for sub in itertools.combinations(range(len(es)), r):
+            if not any(p in near for p in itertools.combinations(sub, 2)):
+                return r
+    return 0
+
+
 def chain_walk(edges, start, cap) -> list:
     """Every proper chain from the edge start with at most cap pivots, as
     (edges, pivots) tuples, in the order of a depth-first search that

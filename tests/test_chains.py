@@ -380,6 +380,22 @@ class TestDisjointChains:
         assert c_max_disjoint(d_complete(4, 2)) == 1
         assert c_max_disjoint(Hypergraph([1, 2], [])) == 0
 
+    def test_paths_and_cycles_closed_forms(self):
+        # edges i and j of a path or cycle are at distance |i - j| (around
+        # the cycle), so every third edge is the most pairwise >= 3 apart;
+        # long paths took minutes when every candidate was branched on
+        for n in [*range(3, 61), 100, 200, 299, 300]:
+            assert c_max_disjoint(path_hypergraph(n)) == -(-(n - 1) // 3), n
+            assert c_max_disjoint(cycle_hypergraph(n)) == n // 3, n
+
+    def test_matches_oracle(self):
+        rng = random.Random(61)
+        for d in (2, 3, 4):
+            for _ in range(30):
+                H = random_uniform_hypergraph(rng, d + 6, d, min_edges=4, max_edges=8)
+                expect = oracles.max_far_apart(H.edges, d)
+                assert c_max_disjoint(H) == expect, H
+
 
 class TestTriangulated:
     def test_agrees_with_chordality_on_all_small_graphs(self):

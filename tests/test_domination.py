@@ -7,6 +7,7 @@ import pytest
 from hyperconn import (
     INF,
     Hypergraph,
+    SimplicialComplex,
     d_complete,
     epsilon,
     epsilon_witness,
@@ -16,6 +17,7 @@ from hyperconn import (
     independence_complex,
     is_edgewise_dominant,
     k_bound,
+    minimal_nonfaces,
     psi,
     simplex_boundary,
     sp_tilde,
@@ -34,6 +36,35 @@ PINNED = [
     (d_complete(4, 2), 2, 1, 1),
     (Hypergraph([1, 2, 3], []), INF, INF, 0),
 ]
+
+# the minimal 6-vertex real projective plane
+RP2_FACETS = [
+    (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+    (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
+]
+
+
+def complexes_beyond_graphs():
+    """RP^2, the acyclic Lutz complex, cones over both, {empty}, a full
+    simplex and 40 seeded lists of random facets on at most 7 vertices:
+    complexes that need not be independence complexes of graphs."""
+    lutz = lutz_acyclic_complex()
+    pool = [
+        SimplicialComplex(RP2_FACETS),
+        lutz,
+        SimplicialComplex(f + (7,) for f in RP2_FACETS),
+        SimplicialComplex(f | {0} for f in lutz.facets),
+        SimplicialComplex([]),
+        full_simplex([1, 2, 3]),
+    ]
+    rng = random.Random(36)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        pool.append(SimplicialComplex(
+            rng.sample(range(1, n + 1), rng.randint(1, n))
+            for _ in range(rng.randint(1, 7))
+        ))
+    return pool
 
 
 class TestPinned:
@@ -82,6 +113,31 @@ class TestGammaTilde:
             for A in ([], vs, half):
                 expect = oracles.covered(vs, delta.faces(), A)
                 assert sp_tilde(delta, A) == expect
+
+    def test_sp_tilde_matches_oracle_beyond_graphs(self):
+        # kill pairs come from minimal non-faces of any size: the first four
+        # have a minimal non-face of three or more vertices, so none is the
+        # independence complex of a graph
+        pool = complexes_beyond_graphs()
+        for delta in pool[:4]:
+            assert max(map(len, minimal_nonfaces(delta).edges)) >= 3
+        rng = random.Random(37)
+        for delta in pool:
+            vs = sorted(delta.vertices)
+            faces = delta.faces()
+            halves = [[v for v in vs if rng.random() < 0.5] for _ in range(8)]
+            for A in ([], vs, *halves):
+                assert sp_tilde(delta, A) == oracles.covered(vs, faces, A)
+            if len(vs) <= 6:
+                expect = oracles.strong_dominating_number(vs, faces)
+                assert gamma_tilde(delta) == expect, delta
+
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_cycles_match_total_domination_closed_form(self, n):
+        # the total domination number of C_n; Ind(C_18) took 45 s when the
+        # kill pairs were read off every face
+        expect = n // 2 + -(-n // 4) - n // 4
+        assert gamma_tilde(independence_complex(cycle_hypergraph(n))) == expect
 
 
 class TestEpsilon:

@@ -17,6 +17,7 @@ from hyperconn import (
     OverlappingVertexSets,
 )
 from hyperconn.generators import random_hypergraph
+from hyperconn.hypergraph import _bitsets
 
 
 def c5():
@@ -179,3 +180,18 @@ class TestRandomizedInvariants:
                 continue
             F = H.edges[rng.randrange(len(H.edges))]
             assert len(H.delete_edge(F).edges) == len(H.edges) - 1
+
+
+class TestBitsets:
+    def test_small_family(self):
+        order, masks, occ = _bitsets({9, 3, 5, 1}, [{1, 3}, {3, 9}, {5}, set()])
+        assert order == [1, 3, 5, 9]
+        assert masks == [0b0011, 0b1010, 0b0100, 0]
+        assert occ == [0b0001, 0b0011, 0b0100, 0b0010]
+
+    def test_empty_family(self):
+        assert _bitsets({2, 1}, []) == ([1, 2], [], [0, 0])
+
+    def test_empty_ground(self):
+        assert _bitsets(frozenset(), []) == ([], [], [])
+        assert _bitsets(frozenset(), [frozenset()]) == ([], [0], [])
