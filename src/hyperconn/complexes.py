@@ -17,7 +17,7 @@ from .errors import (
     OverlappingVertexSets,
     ValidationError,
 )
-from .hypergraph import Hypergraph, _bitsets, _edge_key
+from .hypergraph import Hypergraph, _bitsets, _edge_key, _ones
 from .limits import vertex_cap
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
 class SimplicialComplex:
     """Downward-closed set system represented by its maximal faces."""
 
-    __slots__ = ("facets", "vertices", "_facet_set", "_hash")
+    __slots__ = ("facets", "vertices", "_facet_set", "_hash", "_nonfaces")
 
     def __init__(self, faces: Iterable[Iterable[int]]):
         """Build the complex generated by the given faces.
@@ -66,6 +66,7 @@ class SimplicialComplex:
         )
         object.__setattr__(self, "_facet_set", frozenset(facets))
         object.__setattr__(self, "_hash", hash(self._facet_set))
+        object.__setattr__(self, "_nonfaces", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -109,65 +110,38 @@ class SimplicialComplex:
         verts = sorted(self.vertices)
         return frozenset(
             frozenset(v for i, v in enumerate(verts) if f >> i & 1)
-            for level in _face_levels(self, cap)[0]
+            for level in _face_levels(self, cap)
             for f in level
         )
 
 
-def _face_levels(
-    delta: SimplicialComplex, cap: int | None, exclude: Iterable = ()
-) -> tuple[list[dict[int, int]], dict[int, list[int]]]:
-    """(levels, up) for the faces of delta inside no facet of exclude
-    (facets of delta), the kept faces, as the vertex masks of _bitsets
-    on delta.vertices.  Level k maps each kept face of k vertices to the
-    number of its boundary faces that are kept, and up maps each kept
-    face to its kept cofaces one vertex larger, ascending.  With exclude
-    empty every face is kept, and its count is k.  Raises
-    CapacityExceeded above the vertex cap before enumerating.
-
-    The faces are reached from the facets outside exclude down, each
-    level in ascending order, and each boundary face is tested once per
-    level by the AND over its vertices of occ[vertex] from _bitsets, the
-    excluded facets first (zero on their bits when the face is kept).  The
-    enumeration lemma of the homology module docstring, which takes the
-    facets through one vertex, shows that this reaches every kept face;
-    its proof holds for any facets excluded."""
+def _check_vertex_cap(delta: SimplicialComplex, cap: int | None) -> None:
+    """Raise CapacityExceeded when delta has more vertices than the cap."""
     n = len(delta.vertices)
     if n > vertex_cap(cap):
         raise CapacityExceeded(f"{n} vertices exceeds the face enumeration cap")
-    exclude = set(exclude)
-    kept = [f for f in _facets_with_empty(delta) if f not in exclude]
-    _, masks, occ = _bitsets(delta.vertices, [*exclude, *kept])
-    every = (1 << len(exclude)) - 1
-    levels: list[dict[int, int]] = [{} for _ in range(delta.dim + 2)]
-    up: dict[int, list[int]] = {}
-    for g in masks[len(exclude) :]:
-        levels[g.bit_count()][g] = g.bit_count()
-        up[g] = []
+
+
+def _face_levels(delta: SimplicialComplex, cap: int | None) -> list[set[int]]:
+    """The faces of delta by level, level k the faces of k vertices, as the
+    vertex masks of _bitsets on delta.vertices.  Raises CapacityExceeded
+    above the vertex cap before enumerating.  Each level is the facets of
+    its size and the boundary faces of the level above, from the largest
+    facets down."""
+    _check_vertex_cap(delta, cap)
+    _, masks, _ = _bitsets(delta.vertices, _facets_with_empty(delta))
+    levels: list[set[int]] = [set() for _ in range(delta.dim + 2)]
+    for g in masks:
+        levels[g.bit_count()].add(g)
     for k in range(len(levels) - 1, 0, -1):
-        level, below, out = levels[k], levels[k - 1], set()
-        for f in sorted(level):
+        below = levels[k - 1]
+        for f in levels[k]:
             rest = f
             while rest:
                 low = rest & -rest
                 rest ^= low
-                g = f ^ low
-                if g in below:
-                    up[g].append(f)
-                    continue
-                if g not in out:
-                    a, bits = every, g
-                    while bits and a:
-                        b = bits & -bits
-                        bits ^= b
-                        a &= occ[b.bit_length() - 1]
-                    if not a:
-                        below[g] = k - 1
-                        up[g] = [f]
-                        continue
-                    out.add(g)
-                level[f] -= 1
-    return levels, up
+                below.add(f ^ low)
+    return levels
 
 
 def full_simplex(vertices: Iterable[int]) -> SimplicialComplex:
@@ -183,36 +157,38 @@ def simplex_boundary(vertices: Iterable[int]) -> SimplicialComplex:
     return SimplicialComplex(frozenset(vs) - {v} for v in vs)
 
 
-def _minimal_transversals(ground, family) -> list:
-    """Inclusion-minimal sets meeting every member of family, each once, by
+def _minimal_transversals(bits: tuple, cap: int | None = None) -> list:
+    """Inclusion-minimal sets meeting every member of a family, each once,
+    as tuples of vertex indices, for the family's _bitsets triple bits, by
     MMCS (Murakami and Uno, Discrete Appl. Math. 170, 2014): branch on the
     candidates of the missed member with fewest, first in family order on
     ties, in ascending order, keeping a choice while each chosen vertex
     alone meets some member; a branched vertex is a candidate again in
     later branches only.  Raises CapacityExceeded above the vertex cap.
 
-    Bits are numbered as in _bitsets.  Each step keeps three edge masks:
-    occ[v], the members holding v; crit[u] for each chosen u, the members
-    that u alone of the chosen vertices meets; uncov, the members no
-    chosen vertex meets.  Adding v leaves crit[u] & ~occ[v] for each
-    chosen u and gives crit[v] = uncov & occ[v], so the choice stays
-    minimal exactly when every crit[u] & ~occ[v] is nonzero."""
-    if len(ground) > vertex_cap():
-        raise CapacityExceeded(f"{len(ground)} vertices exceeds the enumeration cap")
-    verts, members, occ = _bitsets(ground, family)
+    Each step keeps three edge masks: occ[v], the members holding v;
+    crit[u] for each chosen u, the members that u alone of the chosen
+    vertices meets; uncov, the members no chosen vertex meets.  Adding v
+    leaves crit[u] & ~occ[v] for each chosen u and gives crit[v] = uncov &
+    occ[v], so the choice stays minimal exactly when every crit[u] &
+    ~occ[v] is nonzero."""
+    verts, members, occ = bits
+    if len(verts) > vertex_cap(cap):
+        raise CapacityExceeded(f"{len(verts)} vertices exceeds the enumeration cap")
     found: list = []
-    _mmcs(members, occ, [], (1 << len(members)) - 1, (1 << len(verts)) - 1, found)
-    return [frozenset(verts[u] for u, _ in chosen) for chosen in found]
+    _mmcs(members, occ, (), [], (1 << len(members)) - 1, (1 << len(verts)) - 1, found)
+    return found
 
 
-def _mmcs(members, occ, crit: list, uncov: int, cand: int, out: list) -> None:
-    """One MMCS step: append to out, as its (u, crit[u]) list, every minimal
-    transversal that holds the chosen vertices of crit and otherwise only
-    candidate vertices."""
+def _mmcs(members, occ, chosen: tuple, crit: list, uncov: int, cand: int, out: list) -> None:
+    """One MMCS step: append to out, as a tuple of vertex indices, every
+    minimal transversal that holds the chosen vertices, whose crit masks
+    crit lists in the same order, and otherwise only candidate vertices."""
     if not uncov:
-        out.append(crit)
+        out.append(chosen)
         return
-    # the missed member with fewest candidates, first in family order on ties
+    # the missed member with fewest candidates, first in family order on ties;
+    # at one the scan stops, as a later member with none leaves no output
     best, fewest = 0, cand.bit_count() + 1
     rest = uncov
     while rest:
@@ -221,15 +197,17 @@ def _mmcs(members, occ, crit: list, uncov: int, cand: int, out: list) -> None:
         branch = members[low.bit_length() - 1] & cand
         if branch.bit_count() < fewest:
             best, fewest = branch, branch.bit_count()
+            if fewest < 2:
+                break
     cand &= ~best
     while best:
         low = best & -best
         best ^= low
         v = low.bit_length() - 1
-        kept = [(u, c & ~occ[v]) for u, c in crit]
-        if all(c for _, c in kept):
-            kept.append((v, uncov & occ[v]))
-            _mmcs(members, occ, kept, uncov & ~occ[v], cand, out)
+        kept = [c & ~occ[v] for c in crit]
+        if all(kept):
+            kept.append(uncov & occ[v])
+            _mmcs(members, occ, (*chosen, v), kept, uncov & ~occ[v], cand, out)
         cand |= low
 
 
@@ -238,11 +216,16 @@ def independence_complex(C: Hypergraph) -> SimplicialComplex:
 
     Facets are complements of minimal transversals of the edge family.  For
     an edgeless hypergraph this is the full simplex on V; on the empty
-    vertex set it is {empty}.
+    vertex set it is {empty}.  The edges of C, an antichain, are its
+    minimal non-faces; the complex keeps their _bitsets triple for
+    _minimal_nonfaces.
     """
-    return SimplicialComplex(
-        C.vertices - t for t in _minimal_transversals(C.vertices, C.edges)
+    bits = _bitsets(C.vertices, C.edges)
+    delta = SimplicialComplex(
+        C.vertices - {bits[0][i] for i in t} for t in _minimal_transversals(bits)
     )
+    object.__setattr__(delta, "_nonfaces", bits)
+    return delta
 
 
 def minimal_nonfaces(delta: SimplicialComplex) -> Hypergraph:
@@ -253,13 +236,22 @@ def minimal_nonfaces(delta: SimplicialComplex) -> Hypergraph:
     minimal transversals of the complements.  Each vertex lies in a facet,
     so every one has size >= 2 and the result validates.
     """
-    return Hypergraph(delta.vertices, _minimal_nonfaces(delta))
+    verts, masks, _ = _minimal_nonfaces(delta)
+    return Hypergraph(delta.vertices, [[verts[i] for i in _ones(m)] for m in masks])
 
 
-def _minimal_nonfaces(delta: SimplicialComplex) -> list:
-    """The minimal non-faces of delta as sets, unvalidated."""
-    V = delta.vertices
-    return _minimal_transversals(V, [V - f for f in _facets_with_empty(delta)])
+def _minimal_nonfaces(delta: SimplicialComplex, cap: int | None = None) -> tuple:
+    """The _bitsets triple (vertices, masks, occ) of the minimal non-faces
+    of delta: the edges independence_complex kept, or else the minimal
+    transversals of the facet complements, found once (under the vertex
+    cap) and kept."""
+    if delta._nonfaces is None:
+        verts, masks, occ = _bitsets(delta.vertices, _facets_with_empty(delta))
+        full, every = (1 << len(verts)) - 1, (1 << len(masks)) - 1
+        complements = (verts, [full ^ m for m in masks], [every ^ o for o in occ])
+        found = _minimal_transversals(complements, cap)
+        object.__setattr__(delta, "_nonfaces", (verts, *_bitsets(range(len(verts)), found)[1:]))
+    return delta._nonfaces
 
 
 def link(delta: SimplicialComplex, sigma: Iterable[int]) -> SimplicialComplex:

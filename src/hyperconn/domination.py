@@ -55,7 +55,7 @@ def _sp_masks(delta: SimplicialComplex) -> tuple:
     Proof.  (<=) sigma + v holds N.  (=>) sigma + v holds some minimal
     non-face N; N is not inside the face sigma, so v is in N and N - v
     lies in sigma."""
-    verts, nonfaces, _ = _bitsets(delta.vertices, _minimal_nonfaces(delta))
+    verts, nonfaces, _ = _minimal_nonfaces(delta)
     kills: dict[int, int] = {}
     for N in nonfaces:
         for i in _ones(N):

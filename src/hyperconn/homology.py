@@ -6,89 +6,65 @@ Conventions
   a real chain group and the profile of the complex {empty} has a single
   free generator in dimension -1.
 * Faces are oriented by the ascending order of their int vertices.  In
-  reduced_homology a face is a vertex mask of complexes._face_levels, so
-  ascending vertices are ascending bits.
+  reduced_homology a face is a vertex mask of hypergraph._bitsets, so
+  ascending vertices are ascending bits, and the incidence [s : s - w] is
+  (-1)^i when w is the i-th vertex of s, counted from 0.
 * All arithmetic is over Python ints, so ranks and torsion are exact; no
   floating point or fixed-width overflow anywhere.
-* A matrix is a list of sparse {col: value} rows without zero entries;
-  boundary rows are built that way, row i for the i-th (k-1)-face and
-  column j for the j-th k-face of the k-th boundary map d_k.
-* reduced_homology first removes coreduction pairs, by the coreduction
-  lemma below (Mrozek and Batko, "Coreduction homology algorithm",
-  Discrete Comput. Geom. 41, 2009): one vertex's star in a single sweep
-  (the sweep lemma), then a queue.  The faces the sweep removes are never
-  built (the enumeration lemma), and boundary rows are built only on the
-  faces left.
+* A matrix is a list of sparse {col: value} rows without zero entries,
+  row i for the i-th (k-1)-cell and column j for the j-th k-cell of d_k.
+* reduced_homology never lists the faces.  A decision tree on the minimal
+  non-faces matches all faces but a few critical ones, and only the
+  boundary maps between critical cells go to Smith form: the matching-tree
+  method of Bousquet-Melou, Linusson and Nevo (J. Algebraic Combin. 27,
+  2008) with Forman's discrete Morse theory (Adv. Math. 134, 1998).
 
-Coreduction lemma.  Let b be a k-cell of a chain complex of free modules
-with bases whose column in d_k is e * e_a, for a (k-1)-cell a and a unit
-e = +-1.  Delete a and b and restrict every boundary map to the cells
-left: row a and column b go from d_k, row b from d_(k+1), column a from
-d_(k-1).  The result is a chain complex with the same homology in every
-dimension.
+Matching-tree lemma.  Let delta be a complex on V.  A node (A, B) is a
+face A and a set B disjoint from it; the faces at the node are the faces
+s with A <= s and s & B empty, the minimal non-faces N meeting B are dead
+and the others live, and the vertices in neither A nor B are free.  The
+tree starts at (empty, empty), and a node
+(i) puts into B every free x with a live N <= A + x, then
+(ii) is a leaf that toggles x, matching s to s + x for each face s at the
+     node without x, when some free x is in no live N (the lowest such),
+(iii) is a leaf whose one face A is critical when no vertex is free, and
+(iv) otherwise splits on the free p in the most live N (the lowest on
+     ties), into "out" (A, B + p) and then "in" (A + p, B).
+Then each face is at exactly one leaf, the toggles are an acyclic matching
+of the faces of delta, and the Morse complex on the critical cells has
+the reduced integral homology of delta, torsion included.
 
-Proof.  This is Gaussian elimination on the pivot d_k(a, b) = e, whose
-column holds nothing else, so its Schur complement is zero.  In bases:
-replace each k-cell c other than b by c' = c - e d_k(a, c) b, so d c' is
-d c with its a-entry made 0.  For a (k+1)-cell z, write d z in the new
-basis: each c' has the coefficient c had, and b some coefficient t.  As
-no d c' meets a and d b = e a, the a-entry of d d z = 0 is e t, so t = 0.
-And d a = e d d b = 0.  So the complex is the direct sum of
-0 -> Zb -> Za -> 0, whose map is a unit and which has no homology, and of
-the other cells with every map restricted; the homology of a direct sum
-is the direct sum of the homologies.
-
-In reduced_homology the cells are all faces, the empty face included,
-and every incidence is +-1.  After any number of pairs are removed, the
-column of a face in a restricted map holds one +-1 per live boundary face,
-so a face with exactly one live boundary face is a b of the lemma.  Pair
-by pair, what is left carries the restricted maps, is a chain complex and
-has the reduced homology, torsion included, of the whole complex.  Each
-pair takes one face from each of two adjacent dimensions, so the Euler
-characteristic is unchanged as well.  No free-face (elementary)
-reduction is used.
-
-Sweep lemma.  Let v be a vertex of the complex, and take the faces s of
-lk v (the faces without v for which s + v is a face), the empty face
-first, by increasing size.  Removing each s together with s + v, in that
-order, removes coreduction pairs one at a time, and it leaves the faces
-of delta - v outside lk v.
-
-Proof.  When s comes up, s and s + v are both live: a face of lk v is
-removed only at its own turn, and s + v only with s, as every face with
-v is t + v for exactly one face t of lk v.  The boundary faces of s + v
-are s and, for each w in s, (s - w) + v.  Each s - w lies in lk v, since
-(s - w) + v lies in s + v, and it is smaller than s, so (s - w) + v went
-at the turn of s - w.  So s is the one live boundary face of s + v, and
-(s, s + v) is a pair (a, b) of the lemma above.  What is left misses
-every face with v and every face of lk v, and keeps the rest: the
-closed star of v, a cone and so acyclic, goes whole.
-
-Enumeration lemma.  Let K be the faces of delta that lie in no facet
-through v.  (a) K is what the sweep leaves.  (b) K is closed upward in
-delta, and a face of K that is not a facet is a boundary face of a face
-of K one vertex larger.  So a pass from the facets not through v down, one
-size at a time, that keeps the boundary faces lying in K and expands only
-those, reaches every face of K and builds no other face than K and the
-boundary faces of K.  (c) A face t lies in a facet through v exactly when
-the AND over the vertices u of t of occ[u], the facets through v that
-hold u as bits, is nonzero.
-
-Proof.  (a) A face f lies in a facet through v exactly when f + v is a
-face: such a facet holds f + v, and a facet holding the face f + v is one
-through v.  So f is outside K exactly when f holds v or f is in lk v.
-(b) If f is in K and f lies in a face g, then g is in K, as a facet
-through v that held g would hold f.  A face g of K that is not a facet
-lies in some facet F, F is not through v since g is in K, and for w in
-F - g the face g + w lies in F and, holding g, is in K.  The facets of
-delta in K are those not through v, where the pass starts, so by
-induction down from the largest size it reaches every face of K.  (c) Bit j
-of the AND is set exactly when the j-th facet through v holds every
-vertex of t.  For the empty face the AND is over no vertex, so it is
-every facet through v, and the empty face is never in K.
-The pass walks the whole boundary of each face of K, so at the same time
-it counts the live boundary faces of each, those in K, and lists the
-cofaces in K of each.
+Proof.  (a) A face s at a node misses each x of (i), as N <= A + x would lie
+in s; so s stays at the node, goes on to exactly one child of a split (out
+when p is not in s), and at a leaf of (iii) is A itself.  A stays a face: p
+joins A only after (i), when no live N lies in A + p, and a dead N meets B,
+which A + p misses.  (b) At a leaf of (ii), for a face s without x, any
+N <= s + x would miss B, so be live, so miss x and lie in s; so s + x is a
+face at the leaf, and the toggle is a perfect matching of the faces at the
+leaf by pairs of incidence +-1.  (c) A gradient path is s_0, t_0, s_1, t_1,
+... with t_i = s_i + x matched to s_i and s_(i+1) a boundary face of t_i
+other than s_i.  Order the leaves by the tree, each out-subtree first.  For
+faces s <= t the leaf of s comes no later than that of t, as their paths
+part at a split on a p in t - s, where s goes out.  So the leaf of s_(i+1)
+comes no later than that of t_i, which is that of s_i; if it is the same,
+s_(i+1) = t_i - w with w != x holds x, is matched down, and the path ends.
+So the leaf moves strictly earlier at each step that goes on, and no
+gradient path closes up (the cluster lemma of Jonsson, Simplicial Complexes
+of Graphs, LNM 1928, 2008).  (d) The flow of a face f is f if f is
+critical, 0 if f is matched to a smaller face, and -[g : f] times the sum
+of [g : h] times the flow of h over the boundary faces h != f of g if f is
+matched to g; by (c) it is a finite sum over gradient paths.  The Morse
+boundary of a critical cell c is the sum of [c : f] times the flow of f
+over its boundary faces f.  Eliminating one pair (f, g), [g : f] = e, is
+Gaussian elimination: in the bases with f replaced by dg and each other
+cell c of g's dimension by c - e [c : f] g, delta is the direct sum of
+0 -> Zg -> Z dg -> 0, which is exact, and of the other cells, each term
+[c : f] f of their boundaries replaced by -e [c : f] times dg less its f
+term (the cells above lose their g terms, as d d = 0).  Eliminating the
+pairs in turn replaces each matched-up face by its flow.  No pair's own
+incidence changes, as that would take a gradient path from the pair back
+to itself, which (c) rules out.  What is left is the Morse complex, with
+the homology of delta over Z (Forman).
 
 The connectivity number conn_h is the largest k such that the reduced
 homology vanishes in every dimension from -1 through k: -2 when homology is
@@ -98,13 +74,12 @@ dimension vanishes (for example any cone).
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain
 from math import gcd
 
-from .complexes import SimplicialComplex, _face_levels
+from .complexes import SimplicialComplex, _check_vertex_cap, _minimal_nonfaces
 from .extnat import INF, ExtNat
+from .hypergraph import _ones
 
 __all__ = [
     "HomologyProfile",
@@ -229,78 +204,119 @@ class HomologyProfile:
         return "\n".join(lines)
 
 
-def _star_facets(delta: SimplicialComplex) -> list:
-    """The facets through v, the vertex in the most top-level faces (the
-    lowest on ties); none for {empty}."""
-    size = delta.dim + 1
-    top = Counter(chain.from_iterable(f for f in delta.facets if len(f) == size))
-    if not top:
-        return []
-    v = max(sorted(top), key=top.__getitem__)
-    return [f for f in delta.facets if v in f]
+def _matching_tree(delta: SimplicialComplex, cap: int | None = None) -> tuple:
+    """(tree, critical cells) of the matching-tree lemma of the module
+    docstring, vertices and non-faces numbered by _bitsets.  A split is a
+    tuple (p, out, in) of the bit of p and the two subtrees, a toggle leaf
+    the bit of x, and a critical leaf 0; the critical cells are vertex
+    masks, in leaf order."""
+    _, nonfaces, occ = _minimal_nonfaces(delta, cap)
+    crit: list[int] = []
+    return _grow(occ, crit, 0, (1 << len(occ)) - 1, (1 << len(nonfaces)) - 1, 0), crit
 
 
-def _coreduce(delta: SimplicialComplex, cap: int | None) -> list[list[int]]:
-    """The faces that coreduction leaves, by level, each level ascending.
-
-    The sweep of the star of v, the vertex of _star_facets, comes first,
-    and no face it removes is built: _face_levels enumerates only the faces
-    of delta inside no facet through v, with each one's count of live
-    boundary faces and list of cofaces (the sweep and enumeration lemmas
-    of the module docstring).
-    Then any face with exactly one live boundary face is removed together
-    with that face, and the counts of the live cofaces of both go down,
-    visited in ascending order.
-    Faces are taken first in, first out, as their counts reach 1, starting
-    from the faces the sweep left with count 1 in ascending mask order; on
-    the homology-large bench pool that order left 599 faces, against 851
-    when they were queued level by level in set order.  By the coreduction
-    lemma, what is left has the reduced homology of the whole complex
-    under the restricted boundaries.
-    """
-    levels, up = _face_levels(delta, cap, _star_facets(delta))
-    live: dict[int, int] = {}
-    for level in levels:
-        live.update(level)
-    queue = deque(sorted(f for f, c in live.items() if c == 1))
-    while queue:
-        b = queue.popleft()
-        if live.get(b) != 1:
-            continue
-        rest = b
-        while b ^ (rest & -rest) not in live:
-            rest &= rest - 1
-        a = b ^ (rest & -rest)
-        for x in (b, a):
-            del live[x]
-            for y in up[x]:
-                c = live.get(y)
-                if c is not None:
-                    live[y] = c - 1
-                    if c == 2:
-                        queue.append(y)
-    out: list[list[int]] = [[] for _ in levels]
-    for f in live:
-        out[f.bit_count()].append(f)
-    for fs in out:
-        fs.sort()
-    return out
-
-
-def _boundary_rows(lower: list[int], upper: list[int]) -> list[dict[int, int]]:
-    # column j is upper[j], so each row's columns are inserted ascending;
-    # a boundary face missing from lower is left out, as the restriction
-    index = {f: i for i, f in enumerate(lower)}
-    rows: list[dict[int, int]] = [{} for _ in lower]
-    for j, face in enumerate(upper):
-        rest, sign = face, 1
+def _grow(occ: list[int], crit: list[int], a: int, free: int, live: int, p: int):
+    """The subtree of the node whose face is a and whose B is every vertex
+    in neither a nor free, with live non-faces live (occ[x]: the non-faces
+    through x), appending its critical cells to crit.  p is the bit just
+    put into a, or 0.  Rule (i) has work only below "in": no N is a single
+    vertex, and below "out" each live N keeps the free vertices it had,
+    never one alone after the parent's rule (i).  Below "in", the N through
+    p with one free vertex left are found by ORing occ over the free
+    vertices into once and twice.  Recursion is one level per split."""
+    if p:
+        once = twice = 0
+        rest = free
         while rest:
             low = rest & -rest
-            i = index.get(face ^ low)
-            if i is not None:
-                rows[i][j] = sign
             rest ^= low
-            sign = -sign
+            o = occ[low.bit_length() - 1]
+            twice |= once & o
+            once |= o
+        single = live & occ[p.bit_length() - 1] & once & ~twice
+        rest = free if single else 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            o = occ[low.bit_length() - 1]
+            if o & single:
+                free ^= low
+                live &= ~o
+    best = most = 0
+    rest = free
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        c = (occ[low.bit_length() - 1] & live).bit_count()
+        if not c:
+            return low
+        if c > most:
+            best, most = low, c
+    if not best:
+        crit.append(a)
+        return 0
+    free ^= best
+    out = _grow(occ, crit, a, free, live & ~occ[best.bit_length() - 1], 0)
+    return (best, out, _grow(occ, crit, a | best, free, live, best))
+
+
+def _boundary(face: int):
+    """(face - w, [face : face - w]) for each vertex bit w of face, ascending."""
+    for k, i in enumerate(_ones(face)):
+        yield face ^ 1 << i, -1 if k & 1 else 1
+
+
+def _flow(tree, f: int, index: dict, flows: dict) -> dict:
+    """The flow of the face f (module docstring, (d)) as {index[c]: coeff}
+    over the critical cells c of its size, cached in flows.  On an explicit
+    stack, a face matched up waits for the flows of its partner's other
+    boundary faces, which by acyclicity never wait on it."""
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g in flows:
+            stack.pop()
+            continue
+        node = tree
+        while type(node) is tuple:
+            node = node[2] if g & node[0] else node[1]
+        if not node:
+            flows[g] = {index[g]: 1}
+        elif g & node:
+            flows[g] = {}
+        else:
+            up = g | node
+            todo = [h for h, _ in _boundary(up) if h != g and h not in flows]
+            if todo:
+                stack += todo
+                continue
+            e = -1 if (up & (node - 1)).bit_count() & 1 else 1
+            acc: dict[int, int] = {}
+            for h, s in _boundary(up):
+                if h != g:
+                    for i, a in flows[h].items():
+                        acc[i] = acc.get(i, 0) - e * s * a
+            flows[g] = {i: a for i, a in acc.items() if a}
+        stack.pop()
+    return flows[f]
+
+
+def _morse_rows(tree, lower: list[int], upper: list[int]) -> list[dict[int, int]]:
+    """The Morse boundary from the critical cells upper to the critical
+    cells lower, one {col: value} row per lower cell, columns ascending."""
+    rows: list[dict[int, int]] = [{} for _ in lower]
+    if not lower:
+        return rows
+    index = {c: i for i, c in enumerate(lower)}
+    flows: dict[int, dict] = {}
+    for j, c in enumerate(upper):
+        col: dict[int, int] = {}
+        for f, s in _boundary(c):
+            for i, a in _flow(tree, f, index, flows).items():
+                col[i] = col.get(i, 0) + s * a
+        for i, a in col.items():
+            if a:
+                rows[i][j] = a
     return rows
 
 
@@ -308,40 +324,31 @@ def reduced_homology(delta: SimplicialComplex, cap: int | None = None) -> Homolo
     """Profile of reduced integer homology groups of the complex.
 
     Raises CapacityExceeded when the vertex count is over the cap (default
-    25), before any face is built.  The faces are coreduced first (the
-    coreduction lemma of the module docstring).  On the faces left, each
-    boundary map d_0, ..., d_top goes through smith_diagonal once: Betti
-    numbers come from the ranks of consecutive maps, torsion from the
-    Smith diagonal of the map one dimension up.
-
-    One internal check is asserted: on the faces left, the restricted maps
-    compose to zero, d_k d_(k+1) = 0 for every k, so what goes to Smith
-    form is a chain complex.  That holds when the enumeration kept a set
-    closed upward in delta (its maps are those of the quotient of delta
-    by the rest, a subcomplex) and the queue removed only pairs of the
-    coreduction lemma.  It is a necessary condition only, as a wrong pair
-    breaks it only where a live face still meets the pair; the tests
-    compare profiles with independent oracles.  No Euler characteristic
-    check is made: on the faces enumerated, whose reduced Euler
-    characteristic the sweep lemma makes that of delta, it would hold by
-    construction.
+    25), before any other work.  Each Morse boundary map d_0, ..., d_top of
+    the matching tree (module docstring) goes through smith_diagonal once:
+    Betti numbers come from the ranks of consecutive maps, torsion from the
+    Smith diagonal of the map one dimension up.  Asserted: the maps compose
+    to zero, d_k d_(k+1) = 0, as the lemma makes them a chain complex; a
+    necessary check only, the tests compare profiles with oracles.
     """
-    live = _coreduce(delta, cap)
+    _check_vertex_cap(delta, cap)
+    tree, crit = _matching_tree(delta, cap)
     top = delta.dim
-    maps = [_boundary_rows(live[k], live[k + 1]) for k in range(top + 1)]
+    cells = [[c for c in crit if c.bit_count() == k] for k in range(top + 2)]
+    maps = [_morse_rows(tree, cells[k], cells[k + 1]) for k in range(top + 1)]
     for d, d_up in zip(maps, maps[1:]):
         for row in d:
             comp: dict[int, int] = {}
             for i, a in row.items():
                 for j, b in d_up[i].items():
                     comp[j] = comp.get(j, 0) + a * b
-            assert not any(comp.values()), "restricted boundaries do not compose to 0"
+            assert not any(comp.values()), "Morse boundaries do not compose to 0"
     smith = {k: smith_diagonal(rows) for k, rows in enumerate(maps)}
     betti: dict[int, int] = {}
     torsion: dict[int, tuple] = {}
     for k in range(-1, top + 1):
         below, above = smith.get(k, ()), smith.get(k + 1, ())
-        betti[k] = len(live[k + 1]) - len(below) - len(above)
+        betti[k] = len(cells[k + 1]) - len(below) - len(above)
         tors = tuple(x for x in above if x > 1)
         if tors:
             torsion[k] = tors

@@ -23,11 +23,18 @@ from hyperconn import (
     minimal_nonfaces,
     simplex_boundary,
 )
-from hyperconn.complexes import _minimal_transversals
+from hyperconn.complexes import _minimal_nonfaces, _minimal_transversals
+from hyperconn.hypergraph import _bitsets
 from hyperconn.fixtures import lutz_acyclic_complex
 from hyperconn.generators import random_hypergraph
 
 import oracles
+
+
+def transversals(ground, family):
+    """_minimal_transversals of family as sets of vertices, in its order."""
+    verts = sorted(ground)
+    return [frozenset(verts[i] for i in t) for t in _minimal_transversals(_bitsets(ground, family))]
 
 
 class TestComplexBasics:
@@ -103,12 +110,12 @@ class TestIndependenceComplex:
             ]
             pool.append((ground, [frozenset(e) for e in family if e]))
         for ground, family in pool:
-            got = _minimal_transversals(frozenset(ground), family)
+            got = transversals(frozenset(ground), family)
             assert len(got) == len(set(got)), family
             assert set(got) == oracles.minimal_transversals(ground, family), family
             assert got == oracles.mmcs_transversals(ground, family), family
-        assert _minimal_transversals(frozenset(), []) == [frozenset()]
-        assert _minimal_transversals(frozenset({1}), [frozenset()]) == []
+        assert transversals(frozenset(), []) == [frozenset()]
+        assert transversals(frozenset({1}), [frozenset()]) == []
 
     def test_minimal_transversals_match_set_mmcs_at_scale(self):
         # the same list in the same order as MMCS on Python sets, on the
@@ -121,7 +128,7 @@ class TestIndependenceComplex:
             edges = rng.sample(triples, rng.randint(n, 2 * n))
             pool.append(Hypergraph(range(1, n + 1), edges))
         for H in pool:
-            got = _minimal_transversals(H.vertices, H.edges)
+            got = transversals(H.vertices, H.edges)
             assert got == oracles.mmcs_transversals(H.vertices, H.edges), H
 
     def test_edgeless_gives_full_simplex(self):
@@ -136,6 +143,21 @@ class TestIndependenceComplex:
         for _ in range(40):
             H = random_hypergraph(rng, 7)
             assert minimal_nonfaces(independence_complex(H)) == H
+
+    def test_kept_nonfaces_match_mmcs_of_the_facets(self):
+        # independence_complex keeps the edges as the minimal non-faces;
+        # MMCS on the facet complements of the same complex, built anew
+        # from its facets, finds the same vertex masks
+        rng = random.Random(7)
+        pool = [random_hypergraph(rng, 7) for _ in range(60)]
+        pool += [fixture(name) for name in ("c4", "c5", "path(9)", "complete(6,3)")]
+        pool += [Hypergraph([], []), Hypergraph(range(1, 4), [])]
+        for H in pool:
+            ind = independence_complex(H)
+            assert minimal_nonfaces(ind) == H
+            verts, masks, _ = _minimal_nonfaces(SimplicialComplex(ind.facets))
+            assert verts == _minimal_nonfaces(ind)[0]
+            assert sorted(masks) == sorted(_minimal_nonfaces(ind)[1]), H
 
     def test_minimal_nonfaces_matches_oracle(self):
         # complexes that independence_complex did not build, so the

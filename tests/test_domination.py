@@ -22,6 +22,7 @@ from hyperconn import (
     simplex_boundary,
     sp_tilde,
 )
+from hyperconn import complexes
 from hyperconn.fixtures import cycle_hypergraph, lutz_acyclic_complex, path_hypergraph
 from hyperconn.generators import all_graphs, random_hypergraph
 
@@ -138,6 +139,30 @@ class TestGammaTilde:
         # kill pairs were read off every face
         expect = n // 2 + -(-n // 4) - n // 4
         assert gamma_tilde(independence_complex(cycle_hypergraph(n))) == expect
+
+
+class TestOneMMCS:
+    def test_one_transversal_search_per_bound(self, monkeypatch):
+        # k_bound and gamma_tilde of an independence complex read the
+        # minimal non-faces that independence_complex kept, so MMCS runs
+        # once, for the facets
+        calls = []
+        real = complexes._minimal_transversals
+
+        def counted(bits):
+            calls.append(len(bits[1]))
+            return real(bits)
+
+        monkeypatch.setattr(complexes, "_minimal_transversals", counted)
+        rng = random.Random(37)
+        pool = [H for H, *_ in PINNED] + [random_hypergraph(rng, 7) for _ in range(20)]
+        for H in pool:
+            calls.clear()
+            k_bound(H)
+            assert len(calls) == 1, H
+            calls.clear()
+            gamma_tilde(independence_complex(H))
+            assert len(calls) == 1, H
 
 
 class TestEpsilon:

@@ -1,6 +1,8 @@
 """Exact reduced homology through integer Smith normal form."""
 
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -14,15 +16,16 @@ from hyperconn import (
     fixture,
     full_simplex,
     independence_complex,
+    psi,
     reduced_homology,
     simplex_boundary,
     smith_diagonal,
 )
-from hyperconn.fixtures import lutz_acyclic_complex
+from hyperconn.extnat import fmt
+from hyperconn.fixtures import cycle_hypergraph, lutz_acyclic_complex, path_hypergraph
 from hyperconn.generators import random_hypergraph
 from hyperconn import homology
-from hyperconn.complexes import _face_levels
-from hyperconn.homology import _boundary_rows, _coreduce, _star_facets
+from hyperconn.homology import _matching_tree, _morse_rows
 
 import oracles
 
@@ -177,8 +180,8 @@ def cones():
     return out
 
 
-# RP^2 wedged at vertex 6 with the boundary of the simplex 6 7 8 9: vertex 6
-# lies in 8 of the 14 triangles, more than any other, so its star is swept
+# RP^2 wedged at vertex 6 with the boundary of the simplex 6 7 8 9: torsion
+# in dimension 1 beside a free class in dimension 2
 RP2_WEDGE_SPHERE = RP2_FACETS + [(6, 7, 8), (6, 7, 9), (6, 8, 9), (7, 8, 9)]
 
 
@@ -329,39 +332,21 @@ class TestBoundarySmith:
         assert prof.torsion == {}
 
 
-def coreduced(d):
-    """The faces of d left by coreduction, by level (faces of k vertices)."""
-    return _coreduce(d, None)
+def critical_counts(d):
+    """The number of critical cells of d with k vertices, k = 0..dim + 1."""
+    cells = _matching_tree(d)[1]
+    return [sum(c.bit_count() == k for c in cells) for k in range(d.dim + 2)]
 
 
-def swept(d, v):
-    """What the set-wise sweep of the vertex with mask v keeps (every face
-    for v = 0): the faces f of d with f & v == 0 and f | v not a face, by
-    level, each mapped to its number of boundary faces that are kept, and
-    each kept face's kept cofaces, ascending."""
-    faces = set().union(*_face_levels(d, None)[0])
-    kept = {f for f in faces if not v or not f & v and f | v not in faces}
-    bits = [1 << i for i in range(len(d.vertices))]
-    levels = [{} for _ in range(d.dim + 2)]
-    up = {}
-    for f in kept:
-        levels[f.bit_count()][f] = sum(f ^ b in kept for b in bits if f & b)
-        up[f] = [f | b for b in bits if not f & b and f | b in kept]
-    return levels, up
-
-
-def busiest(d):
-    """The vertex in the most facets of the largest size, the lowest on ties."""
-    top = [f for f in d.facets if len(f) == d.dim + 1]
-    return min(sorted(d.vertices), key=lambda u: -sum(u in f for f in top))
-
-
-# facets of four sizes: vertex 2 is in both tetrahedra, so its star is
-# swept, and the triangle 2 3 8 through it is excluded with them
-MIXED_SIZES = [(1, 2, 3, 4), (2, 5, 6, 7), (2, 3, 8), (4, 8), (7, 9), (10,)]
+# the homology-large benchmark pool: 63 Ind(H) profiles and the Lutz one,
+# read only
+RECORDED = pathlib.Path(__file__).resolve().parents[1] / "bench/expected/homology-large.json"
 
 
 class TestCoreduction:
+    """The reduction of a complex to the critical cells of its matching
+    tree, whose matched pairs are eliminated as coreduction pairs are."""
+
     def test_vertex_cap_before_enumeration(self, monkeypatch):
         # 2^30 faces would never finish: the cap must be checked first
         with pytest.raises(CapacityExceeded):
@@ -369,6 +354,9 @@ class TestCoreduction:
         with pytest.raises(CapacityExceeded):
             reduced_homology(simplex_boundary(range(5)), cap=4)
         assert reduced_homology(simplex_boundary(range(5)), cap=5).betti_at(3) == 1
+        # a cap above the default also reaches the search for minimal non-faces
+        ring = SimplicialComplex((i, i % 26 + 1) for i in range(1, 27))
+        assert reduced_homology(ring, cap=26).betti_at(1) == 1
         monkeypatch.setenv("HYPERCONN_VERTEX_CAP", "4")
         with pytest.raises(CapacityExceeded):
             reduced_homology(simplex_boundary(range(5)))
@@ -376,7 +364,8 @@ class TestCoreduction:
             conn_h(simplex_boundary(range(5)))
 
     def test_profiles_match_oracles(self):
-        # the torsion pool is compared in TestAgainstRationalOracle
+        # the torsion pool, random_complexes(18) and the Ind draws of pools()
+        # are compared in TestAgainstRationalOracle
         complexes = [
             SimplicialComplex([]),
             full_simplex([4]),
@@ -385,7 +374,7 @@ class TestCoreduction:
             SimplicialComplex(RP2_WEDGE_SPHERE),
             lutz_acyclic_complex(),
         ]
-        complexes += cones() + random_complexes(24) + ind_3_uniform(24)
+        complexes += cones() + random_complexes(17) + random_complexes(24) + ind_3_uniform(24)
         for d in complexes:
             prof = reduced_homology(d)
             faces = d.faces()
@@ -393,112 +382,104 @@ class TestCoreduction:
             assert prof.betti == oracles.betti_numbers(faces), d.facets
             assert prof.torsion == oracles.torsion(faces), d.facets
 
-    def test_simplex_and_cone_coreduce_to_nothing(self):
-        for d in [full_simplex([1]), full_simplex(range(1, 8))] + cones():
-            assert not any(coreduced(d)), d.facets
-        # {empty} has no vertex to pair with; RP^2 keeps its torsion cells
-        assert coreduced(SimplicialComplex([])) == [[0]]
-        assert sum(map(len, coreduced(SimplicialComplex(RP2_FACETS)))) > 0
+    def test_profiles_match_recorded_pool(self):
+        recorded = json.loads(RECORDED.read_text())
+        assert len(recorded["pool"]) == 63
+        for entry in recorded["pool"]:
+            d = independence_complex(Hypergraph(entry["vertices"], entry["edges"]))
+            prof = reduced_homology(d)
+            assert prof.describe() == entry["profile"], entry["edges"]
+            assert fmt(prof.connectivity()) == entry["conn"], entry["edges"]
+        lutz = reduced_homology(lutz_acyclic_complex()).describe()
+        assert lutz == recorded["lutz-acyclic"]
 
-    def test_sweep_takes_the_busiest_star(self):
-        # vertex 6 is bit 5: no face with it, nor any face of its link, is
-        # left, while faces with vertex 1 (bit 0) are
-        d = SimplicialComplex(RP2_WEDGE_SPHERE)
-        faces = set().union(*_face_levels(d, None)[0])
-        left = [f for fs in coreduced(d) for f in fs]
-        assert not any(f & 32 or f | 32 in faces for f in left)
-        assert any(f & 1 for f in left)
+    def test_critical_cell_counts(self):
+        # a full simplex and every cone: no critical cell; {empty}: its
+        # empty face; a simplex boundary: one top cell; RP^2 keeps cells
+        for d in [full_simplex([1]), full_simplex(range(1, 8))] + cones():
+            assert _matching_tree(d)[1] == [], d.facets
+        assert _matching_tree(SimplicialComplex([]))[1] == [0]
+        for n in range(2, 8):
+            assert critical_counts(simplex_boundary(range(n))) == [0] * (n - 1) + [1]
+        assert sum(critical_counts(SimplicialComplex(RP2_FACETS))) > 0
+        # Ind(C_3k): two cells of k vertices, Kozlov's S^(k-1) v S^(k-1)
+        for k in range(1, 9):
+            counts = critical_counts(independence_complex(cycle_hypergraph(3 * k)))
+            assert counts[k] == sum(counts) == 2, k
 
     def test_faces_left_on_a_3_uniform_instance(self):
         # Ind of the 13-vertex draw: 442 faces, reduced Betti numbers 8 in
-        # dimension 2 and 4 in dimension 3; 38 faces are left
+        # dimension 2 and 4 in dimension 3; one more critical cell in each
+        # of the two, which the Morse boundary between them cancels
         d = ind_3_uniform(24)[-1]
-        assert sum(map(len, _face_levels(d, None)[0])) == 442
-        assert [len(fs) for fs in coreduced(d)] == [0, 0, 0, 21, 17, 0]
+        assert len(d.faces()) == 442
+        assert critical_counts(d) == [0, 0, 0, 9, 5, 0]
         assert reduced_homology(d).betti == {-1: 0, 0: 0, 1: 0, 2: 8, 3: 4, 4: 0}
 
-    def test_enumeration_matches_the_setwise_sweep(self):
-        # every vertex's star excluded in turn, the busiest one among them
-        complexes = random_complexes(24) + ind_3_uniform(24) + cones()
-        complexes += [SimplicialComplex(f) for f in (RP2_WEDGE_SPHERE, MIXED_SIZES)]
-        for d in complexes:
-            verts = sorted(d.vertices)
-            for i, u in enumerate(verts):
-                star = [f for f in d.facets if u in f]
-                assert _face_levels(d, None, star) == swept(d, 1 << i), (d.facets, u)
-            star = [f for f in d.facets if busiest(d) in f]
-            assert _star_facets(d) == star, d.facets
-            # with nothing excluded, every face with all of its boundary
-            levels, up = _face_levels(d, None)
-            assert (levels, up) == swept(d, 0)
-            assert all(c == k for k, fs in enumerate(levels) for c in fs.values())
-            assert set().union(*levels) == {
-                sum(1 << verts.index(u) for u in f) for f in d.faces()
-            }
-
-    def test_enumeration_edge_cases(self):
-        # {empty}: no vertex, nothing excluded, the empty face alone
-        empty = SimplicialComplex([])
-        assert _star_facets(empty) == []
-        assert _face_levels(empty, None, [])[0] == [{0: 0}]
-        # a single vertex, and every cone: its star is the whole complex
-        for d in [full_simplex([4])] + cones():
-            star = _star_facets(d)
-            assert star == list(d.facets), d.facets
-            assert not any(_face_levels(d, None, star)[0]), d.facets
-        # a tie: every vertex of the 3-simplex boundary and of RP^2 is in
-        # as many top faces as any other, and the lowest is taken
-        assert set(_star_facets(simplex_boundary(range(1, 5)))) == {
-            frozenset(f) for f in [(1, 2, 3), (1, 2, 4), (1, 3, 4)]
-        }
-        assert all(1 in f for f in _star_facets(SimplicialComplex(RP2_FACETS)))
-        # facets of mixed sizes: only the largest count, where vertex 2 is
-        # in both; the smaller facets through 2 are excluded as well
-        d = SimplicialComplex(MIXED_SIZES)
-        assert set(_star_facets(d)) == {
-            frozenset(f) for f in [(1, 2, 3, 4), (2, 5, 6, 7), (2, 3, 8)]
-        }
-        levels, up = _face_levels(d, None, _star_facets(d))
-        assert (levels, up) == swept(d, 2)
-        assert up == {256: [320], 512: [], 136: [], 320: []}
-        # the facets kept are {4, 8}, {7, 9} and {10}; of their boundary
-        # faces only {9} is kept, as {4}, {7}, {8} and the empty face lie
-        # in the star
-        assert [sorted(fs.items()) for fs in levels] == [
-            [], [(256, 0), (512, 0)], [(136, 0), (320, 1)], [], [],
-        ]
-        prof = reduced_homology(d)
-        assert prof.betti == oracles.betti_numbers(d.faces())
-
     def test_assertion_catches_what_is_not_a_chain_complex(self, monkeypatch):
-        # ab and bc of the triangle abc without the vertex b: d_1 d_2 (abc)
-        # = d_1 (ab + bc) = c - a, so reduced_homology must refuse it
-        left = [[], [1, 4], [3, 6], [7]]
-        monkeypatch.setattr(homology, "_coreduce", lambda d, cap: left)
+        # a tree on the triangle abc (bits 1, 2, 4) that leaves a, c, ab,
+        # bc and abc critical and matches b and ac down: d_1 d_2 (abc) =
+        # d_1 (ab + bc) = c - a, so reduced_homology must refuse it
+        tree = (2, (1, (4, 0, 0), (4, 0, 4)), (1, (4, 2, 0), (4, 0, 0)))
+        monkeypatch.setattr(homology, "_matching_tree", lambda d, cap: (tree, [1, 4, 3, 6, 7]))
         with pytest.raises(AssertionError):
             reduced_homology(full_simplex([1, 2, 3]))
 
-    def test_what_is_left_is_a_chain_complex(self):
-        # the coreduction lemma: the restricted maps still satisfy BA = 0
+    def test_morse_complex_is_a_chain_complex(self):
+        # the matching-tree lemma: the Morse boundaries satisfy BA = 0
         complexes = [SimplicialComplex(f) for f, _ in torsion_pool()]
         complexes += random_complexes(18) + [lutz_acyclic_complex()]
         complexes += [SimplicialComplex(RP2_WEDGE_SPHERE)] + ind_3_uniform(24)
+        adjacent = 0
         for d in complexes:
-            live = coreduced(d)
+            tree, cells = _matching_tree(d)
+            live = [[c for c in cells if c.bit_count() == k] for k in range(d.dim + 2)]
             for k in range(1, len(live) - 1):
-                B = _boundary_rows(live[k - 1], live[k])
-                A = _boundary_rows(live[k], live[k + 1])
+                B = _morse_rows(tree, live[k - 1], live[k])
+                A = _morse_rows(tree, live[k], live[k + 1])
+                adjacent += any(A)
                 for row in B:
                     for j in range(len(live[k + 1])):
                         assert sum(a * A[i].get(j, 0) for i, a in row.items()) == 0
+        assert adjacent > 0
 
     def test_independence_complex_at_scale(self):
         # Ind of all 5-subsets of 14 vertices is the 3-skeleton of the
-        # 13-simplex, a wedge of C(13, 4) = 715 3-spheres: coreduction
-        # leaves exactly its 715 top faces
+        # 13-simplex, a wedge of C(13, 4) = 715 3-spheres: the tree leaves
+        # exactly 715 top cells
         d = independence_complex(fixture("complete(14,5)"))
-        live = coreduced(d)
-        assert [len(fs) for fs in live] == [0, 0, 0, 0, 715]
+        assert critical_counts(d) == [0, 0, 0, 0, 715]
         prof = reduced_homology(d)
         assert prof.betti == {k: 715 if k == 3 else 0 for k in range(-1, 4)}
         assert prof.torsion == {}
+
+
+class TestKozlovClosedForms:
+    """Ind(C_n) and Ind(P_n) (Kozlov, "Complexes of directed trees", JCTA
+    88, 1999): Ind(C_n) is S^(k-1) v S^(k-1) for n = 3k, S^(k-1) for
+    n = 3k + 1 and S^k for n = 3k + 2; Ind(P_n) is S^(k-1) for n = 3k - 1
+    and n = 3k, and contractible for n = 3k + 1.  Up to the vertex cap,
+    with conn_h = psi - 2 on each."""
+
+    @pytest.mark.parametrize("n", range(3, 26))
+    def test_cycles(self, n):
+        k, r = divmod(n, 3)
+        d = independence_complex(cycle_hypergraph(n))
+        prof = reduced_homology(d)
+        dim = k if r == 2 else k - 1
+        assert prof.betti == {j: (2 if r == 0 else 1) * (j == dim) for j in range(-1, d.dim + 1)}
+        assert prof.torsion == {}
+        assert prof.connectivity() == dim - 1 == psi(cycle_hypergraph(n)) - 2
+
+    @pytest.mark.parametrize("n", range(3, 26))
+    def test_paths(self, n):
+        k, r = divmod(n + 1, 3)
+        d = independence_complex(path_hypergraph(n))
+        prof = reduced_homology(d)
+        if r == 2:
+            assert prof.is_trivial()
+            assert prof.connectivity() == INF == psi(path_hypergraph(n)) - 2
+        else:
+            assert prof.betti == {j: int(j == k - 1) for j in range(-1, d.dim + 1)}
+            assert prof.torsion == {}
+            assert prof.connectivity() == k - 2 == psi(path_hypergraph(n)) - 2
