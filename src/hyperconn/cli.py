@@ -78,10 +78,9 @@ def _cmd_homology(args) -> int:
 
 def _cmd_conn(args) -> int:
     H, _, _ = _load(args.file)
-    # the vertex cap is checked here, before the psi search can run long
-    delta = independence_complex(H)
+    # conn_h comes first: its vertex cap is checked before psi can run long
     rows = [
-        ("conn_h", conn_h(delta)),
+        ("conn_h", conn_h(independence_complex(H))),
         ("psi", psi(H)),
         ("k", k_bound(H)),
         ("epsilon", epsilon(H)),

@@ -1,24 +1,20 @@
-"""Finite abstract simplicial complexes, stored by their facets.
+"""Finite abstract simplicial complexes, stored by their facets or, from
+independence_complex, by their minimal non-faces; MMCS derives each from
+the other once, on first use.
 
 A complex is the downward closure of its facet list.  The empty face belongs
-to every complex here; the complex {empty} alone is stored as an empty facet
-tuple.  The void complex (no faces at all) is not representable.  The vertex
-set is always exactly the union of the facets, so every vertex is a face.
+to every complex here; the complex {empty} alone has an empty facet tuple.
+The void complex (no faces at all) is not representable.  The vertex set is
+always exactly the union of the facets, so every vertex is a face.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .errors import (
-    CapacityExceeded,
-    NotAFace,
-    NotASubset,
-    OverlappingVertexSets,
-    ValidationError,
-)
+from .errors import NotAFace, NotASubset, OverlappingVertexSets, ValidationError
 from .hypergraph import Hypergraph, _bitsets, _edge_key, _ones
-from .limits import vertex_cap
+from .limits import _check_vertex_cap
 
 __all__ = [
     "SimplicialComplex",
@@ -35,9 +31,9 @@ __all__ = [
 
 
 class SimplicialComplex:
-    """Downward-closed set system represented by its maximal faces."""
+    """Downward-closed set system, by its facets or its minimal non-faces."""
 
-    __slots__ = ("facets", "vertices", "_facet_set", "_hash", "_nonfaces")
+    __slots__ = ("vertices", "_facets", "_nonfaces")
 
     def __init__(self, faces: Iterable[Iterable[int]]):
         """Build the complex generated by the given faces.
@@ -60,12 +56,8 @@ class SimplicialComplex:
             if k:
                 maximal += [f for f in by_size[k] if not any(f < g for g in maximal)]
         facets = tuple(sorted(maximal, key=_edge_key))
-        object.__setattr__(self, "facets", facets)
-        object.__setattr__(
-            self, "vertices", frozenset().union(*facets) if facets else frozenset()
-        )
-        object.__setattr__(self, "_facet_set", frozenset(facets))
-        object.__setattr__(self, "_hash", hash(self._facet_set))
+        object.__setattr__(self, "vertices", frozenset().union(*facets))
+        object.__setattr__(self, "_facets", facets)
         object.__setattr__(self, "_nonfaces", None)
 
     def __setattr__(self, name, value):
@@ -74,14 +66,28 @@ class SimplicialComplex:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self._facet_set == other._facet_set
+        return self.facets == other.facets
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.facets)
 
     def __repr__(self) -> str:
         fs = ", ".join("{" + ",".join(map(str, sorted(f))) + "}" for f in self.facets)
         return f"SimplicialComplex([{fs}])"
+
+    @property
+    def facets(self) -> tuple:
+        """Maximal faces, sorted by size, then vertices; from kept non-faces,
+        the nonempty complements of their minimal transversals."""
+        if self._facets is None:
+            verts = self._nonfaces[0]
+            found = [
+                self.vertices.difference(verts[i] for i in t)
+                for t in _minimal_transversals(self._nonfaces)
+            ]
+            found.sort(key=_edge_key)
+            object.__setattr__(self, "_facets", tuple(f for f in found if f))
+        return self._facets
 
     @property
     def dim(self) -> int:
@@ -93,7 +99,7 @@ class SimplicialComplex:
     @property
     def is_point_only(self) -> bool:
         """True for the complex {empty} (the (-1)-sphere)."""
-        return not self.facets
+        return not self.vertices
 
     def has_face(self, sigma: Iterable[int]) -> bool:
         s = frozenset(sigma)
@@ -102,46 +108,28 @@ class SimplicialComplex:
         return any(s <= f for f in self.facets)
 
     def faces(self, cap: int | None = None) -> frozenset:
-        """All faces, the empty face included, decoded from _face_levels.
+        """All faces, the empty face included.
 
         Raises CapacityExceeded when the vertex count is over the cap
-        (default 25), since the face list can be exponential in it.
+        (default 25), since the face list can be exponential in it.  Level k
+        holds the k-vertex facets and the boundary faces of level k + 1.
         """
-        verts = sorted(self.vertices)
+        _check_vertex_cap(len(self.vertices), cap)
+        verts, masks, _ = _bitsets(self.vertices, _facets_with_empty(self))
+        levels: list[set[int]] = [set() for _ in range(self.dim + 2)]
+        for g in masks:
+            levels[g.bit_count()].add(g)
+        for k in range(len(levels) - 1, 0, -1):
+            below = levels[k - 1]
+            for f in levels[k]:
+                rest = f
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    below.add(f ^ low)
         return frozenset(
-            frozenset(v for i, v in enumerate(verts) if f >> i & 1)
-            for level in _face_levels(self, cap)
-            for f in level
+            frozenset(verts[i] for i in _ones(f)) for level in levels for f in level
         )
-
-
-def _check_vertex_cap(delta: SimplicialComplex, cap: int | None) -> None:
-    """Raise CapacityExceeded when delta has more vertices than the cap."""
-    n = len(delta.vertices)
-    if n > vertex_cap(cap):
-        raise CapacityExceeded(f"{n} vertices exceeds the face enumeration cap")
-
-
-def _face_levels(delta: SimplicialComplex, cap: int | None) -> list[set[int]]:
-    """The faces of delta by level, level k the faces of k vertices, as the
-    vertex masks of _bitsets on delta.vertices.  Raises CapacityExceeded
-    above the vertex cap before enumerating.  Each level is the facets of
-    its size and the boundary faces of the level above, from the largest
-    facets down."""
-    _check_vertex_cap(delta, cap)
-    _, masks, _ = _bitsets(delta.vertices, _facets_with_empty(delta))
-    levels: list[set[int]] = [set() for _ in range(delta.dim + 2)]
-    for g in masks:
-        levels[g.bit_count()].add(g)
-    for k in range(len(levels) - 1, 0, -1):
-        below = levels[k - 1]
-        for f in levels[k]:
-            rest = f
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                below.add(f ^ low)
-    return levels
 
 
 def full_simplex(vertices: Iterable[int]) -> SimplicialComplex:
@@ -173,8 +161,7 @@ def _minimal_transversals(bits: tuple, cap: int | None = None) -> list:
     occ[v], so the choice stays minimal exactly when every crit[u] &
     ~occ[v] is nonzero."""
     verts, members, occ = bits
-    if len(verts) > vertex_cap(cap):
-        raise CapacityExceeded(f"{len(verts)} vertices exceeds the enumeration cap")
+    _check_vertex_cap(len(verts), cap)
     found: list = []
     _mmcs(members, occ, (), [], (1 << len(members)) - 1, (1 << len(verts)) - 1, found)
     return found
@@ -214,17 +201,16 @@ def _mmcs(members, occ, chosen: tuple, crit: list, uncov: int, cand: int, out: l
 def independence_complex(C: Hypergraph) -> SimplicialComplex:
     """Faces are the subsets of V(C) containing no edge of C.
 
-    Facets are complements of minimal transversals of the edge family.  For
-    an edgeless hypergraph this is the full simplex on V; on the empty
-    vertex set it is {empty}.  The edges of C, an antichain, are its
-    minimal non-faces; the complex keeps their _bitsets triple for
-    _minimal_nonfaces.
+    The edges of C, an antichain, are its minimal non-faces, and the
+    complex keeps their _bitsets triple; it runs no search.  The facets,
+    found on first use, are the complements of the minimal transversals of
+    the edges: the full simplex on V for an edgeless hypergraph, {empty}
+    on the empty vertex set.
     """
-    bits = _bitsets(C.vertices, C.edges)
-    delta = SimplicialComplex(
-        C.vertices - {bits[0][i] for i in t} for t in _minimal_transversals(bits)
-    )
-    object.__setattr__(delta, "_nonfaces", bits)
+    delta = object.__new__(SimplicialComplex)
+    object.__setattr__(delta, "vertices", C.vertices)
+    object.__setattr__(delta, "_facets", None)
+    object.__setattr__(delta, "_nonfaces", _bitsets(C.vertices, C.edges))
     return delta
 
 

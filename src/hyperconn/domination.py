@@ -15,7 +15,7 @@ from .complexes import SimplicialComplex, _minimal_nonfaces, independence_comple
 from .errors import CapacityExceeded, NotASubset, NotSubfamily
 from .extnat import INF, ExtNat, ceil_half
 from .hypergraph import Hypergraph, _bitsets, _ones
-from .limits import DEFAULT_COMBINATION_CAP
+from .limits import DEFAULT_COMBINATION_CAP, _check_vertex_cap
 
 __all__ = [
     "sp_tilde",
@@ -79,10 +79,11 @@ def gamma_tilde_witness(delta: SimplicialComplex) -> tuple[ExtNat, frozenset | N
 
     Search order: increasing size, lexicographic within a size, so the
     witness is deterministic.  INF when even the full vertex set fails,
-    as for a full simplex.
+    as for a full simplex.  Over the vertex cap, CapacityExceeded at once.
     """
     verts, pairs = _sp_masks(delta)
     n = len(verts)
+    _check_vertex_cap(n, None)
     full = (1 << n) - 1
     bits = [1 << i for i in range(n)]
     for size in range(0, n + 1):

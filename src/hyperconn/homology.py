@@ -77,9 +77,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .complexes import SimplicialComplex, _check_vertex_cap, _minimal_nonfaces
+from .complexes import SimplicialComplex, _minimal_nonfaces
 from .extnat import INF, ExtNat
 from .hypergraph import _ones
+from .limits import _check_vertex_cap
 
 __all__ = [
     "HomologyProfile",
@@ -321,19 +322,28 @@ def _morse_rows(tree, lower: list[int], upper: list[int]) -> list[dict[int, int]
 
 
 def reduced_homology(delta: SimplicialComplex, cap: int | None = None) -> HomologyProfile:
-    """Profile of reduced integer homology groups of the complex.
+    """Profile of reduced integer homology groups of the complex: those of
+    _morse_profile, listed through delta.dim, the one value that needs the
+    facets.  Raises CapacityExceeded when the vertex count is over the cap
+    (default 25), before any other work."""
+    morse = _morse_profile(delta, cap)
+    betti = {k: morse.betti_at(k) for k in range(-1, delta.dim + 1)}
+    return HomologyProfile(dim=delta.dim, betti=betti, torsion=morse.torsion)
 
-    Raises CapacityExceeded when the vertex count is over the cap (default
-    25), before any other work.  Each Morse boundary map d_0, ..., d_top of
-    the matching tree (module docstring) goes through smith_diagonal once:
-    Betti numbers come from the ranks of consecutive maps, torsion from the
-    Smith diagonal of the map one dimension up.  Asserted: the maps compose
-    to zero, d_k d_(k+1) = 0, as the lemma makes them a chain complex; a
-    necessary check only, the tests compare profiles with oracles.
+
+def _morse_profile(delta: SimplicialComplex, cap: int | None) -> HomologyProfile:
+    """The reduced homology of delta through its largest critical cell's
+    dimension, above which every group vanishes, read without the facets.
+    Each Morse boundary map d_0, ..., d_top of the matching tree (module
+    docstring) goes through smith_diagonal once: Betti numbers come from
+    the ranks of consecutive maps, torsion from the Smith diagonal of the
+    map one dimension up.  Asserted: the maps compose to zero, d_k d_(k+1)
+    = 0, as the lemma makes them a chain complex; a necessary check only,
+    the tests compare profiles with oracles.
     """
-    _check_vertex_cap(delta, cap)
+    _check_vertex_cap(len(delta.vertices), cap)
     tree, crit = _matching_tree(delta, cap)
-    top = delta.dim
+    top = max((c.bit_count() for c in crit), default=0) - 1
     cells = [[c for c in crit if c.bit_count() == k] for k in range(top + 2)]
     maps = [_morse_rows(tree, cells[k], cells[k + 1]) for k in range(top + 1)]
     for d, d_up in zip(maps, maps[1:]):
@@ -359,6 +369,6 @@ def conn_h(delta: SimplicialComplex) -> ExtNat:
     """Largest k with vanishing reduced homology through dimension k.
 
     Values: -2 for {empty}, -1 for a disconnected nonempty complex, INF
-    when every reduced homology group vanishes.
+    when every reduced homology group vanishes.  The facets are not read.
     """
-    return reduced_homology(delta).connectivity()
+    return _morse_profile(delta, None).connectivity()

@@ -1,9 +1,11 @@
 """Default resource limits, overridable via environment variables; the
-face enumeration cap and the psi node budget also take a per-call override."""
+vertex cap and the psi node budget also take a per-call override.  The
+vertex cap guards every search exponential in the vertex count: faces,
+minimal transversals, dominating sets and homology."""
 
 import os
 
-from .errors import ValidationError
+from .errors import CapacityExceeded, ValidationError
 
 DEFAULT_VERTEX_CAP = 25
 DEFAULT_PSI_BUDGET = 1_000_000
@@ -26,8 +28,10 @@ def _limit(override: int | None, name: str, default: int) -> int:
     return value
 
 
-def vertex_cap(override: int | None = None) -> int:
-    return _limit(override, "HYPERCONN_VERTEX_CAP", DEFAULT_VERTEX_CAP)
+def _check_vertex_cap(n: int, cap: int | None) -> None:
+    """Raise CapacityExceeded when n vertices are more than the cap."""
+    if n > _limit(cap, "HYPERCONN_VERTEX_CAP", DEFAULT_VERTEX_CAP):
+        raise CapacityExceeded(f"{n} vertices exceeds the enumeration cap")
 
 
 def psi_budget(override: int | None = None) -> int:

@@ -12,6 +12,7 @@ from hyperconn import (
     SimplicialComplex,
     build_counterexample_family,
     complex_union,
+    conn_h,
     deletion,
     fixture,
     full_simplex,
@@ -21,6 +22,7 @@ from hyperconn import (
     join,
     link,
     minimal_nonfaces,
+    reduced_homology,
     simplex_boundary,
 )
 from hyperconn.complexes import _minimal_nonfaces, _minimal_transversals
@@ -184,6 +186,42 @@ class TestIndependenceComplex:
             assert got.vertices == delta.vertices
             expect = oracles.minimal_nonfaces(delta.vertices, delta.faces())
             assert set(got.edges) == expect
+
+
+class TestLazyFacets:
+    """independence_complex keeps the edges and derives the facets on first
+    use; the complex must be the one SimplicialComplex builds from them."""
+
+    def test_same_complex_as_from_the_oracle_facets(self):
+        rng = random.Random(29)
+        pool = [random_hypergraph(rng, 7) for _ in range(60)]
+        pool += [fixture(name) for name in ("c4", "c5", "path(9)", "complete(6,3)")]
+        pool += [
+            Hypergraph([], []),
+            Hypergraph([4], []),
+            Hypergraph(range(1, 4), []),
+            Hypergraph(range(1, 7), [{1, 2}, {2, 3, 4}]),
+        ]
+        for H in pool:
+            faces = oracles.independent_subsets(H.vertices, H.edges)
+            eager = SimplicialComplex(oracles.facets_of(faces))
+            assert independence_complex(H).facets == eager.facets, H
+            assert independence_complex(H).vertices == eager.vertices
+            assert independence_complex(H).dim == eager.dim
+            assert repr(independence_complex(H)) == repr(eager)
+            assert independence_complex(H) == eager and eager == independence_complex(H)
+            assert hash(independence_complex(H)) == hash(eager)
+
+    def test_constructs_above_the_cap(self):
+        # path(30) has 30 vertices, over the default cap of 25: the complex
+        # and its minimal non-faces come without a search, and each call
+        # that needs one raises the one cap message
+        H = fixture("path(30)")
+        assert minimal_nonfaces(independence_complex(H)) == H
+        for read in (lambda d: d.facets, reduced_homology, conn_h):
+            with pytest.raises(CapacityExceeded) as exc:
+                read(independence_complex(H))
+            assert str(exc.value) == "30 vertices exceeds the enumeration cap"
 
 
 class TestOperations:

@@ -6,11 +6,14 @@ import pytest
 
 from hyperconn import (
     INF,
+    CapacityExceeded,
     Hypergraph,
     SimplicialComplex,
+    conn_h,
     d_complete,
     epsilon,
     epsilon_witness,
+    fixture,
     full_simplex,
     gamma_tilde,
     gamma_tilde_witness,
@@ -19,10 +22,11 @@ from hyperconn import (
     k_bound,
     minimal_nonfaces,
     psi,
+    reduced_homology,
     simplex_boundary,
     sp_tilde,
 )
-from hyperconn import complexes
+from hyperconn import complexes, domination
 from hyperconn.fixtures import cycle_hypergraph, lutz_acyclic_complex, path_hypergraph
 from hyperconn.generators import all_graphs, random_hypergraph
 
@@ -77,6 +81,19 @@ class TestPinned:
 
 
 class TestGammaTilde:
+    def test_capped_before_the_subset_search(self, monkeypatch):
+        # the kept non-faces need no search, so the cap must stop the 2^30
+        # subsets of path(30) before the first kill-mask test
+        def no_search(*args):
+            raise AssertionError("the subset search ran")
+
+        monkeypatch.setattr(domination, "_killed", no_search)
+        H = fixture("path(30)")
+        with pytest.raises(CapacityExceeded, match="30 vertices exceeds the enumeration cap"):
+            k_bound(H)
+        with pytest.raises(CapacityExceeded, match="30 vertices exceeds the enumeration cap"):
+            gamma_tilde(independence_complex(H))
+
     def test_matches_definition_oracle(self):
         rng = random.Random(31)
         for _ in range(40):
@@ -143,9 +160,9 @@ class TestGammaTilde:
 
 class TestOneMMCS:
     def test_one_transversal_search_per_bound(self, monkeypatch):
-        # k_bound and gamma_tilde of an independence complex read the
-        # minimal non-faces that independence_complex kept, so MMCS runs
-        # once, for the facets
+        # independence_complex keeps the edges as the minimal non-faces and
+        # runs no search; k_bound, gamma_tilde and conn_h read only those,
+        # and reduced_homology runs MMCS once, for the facets behind dim
         calls = []
         real = complexes._minimal_transversals
 
@@ -159,9 +176,10 @@ class TestOneMMCS:
         for H in pool:
             calls.clear()
             k_bound(H)
-            assert len(calls) == 1, H
-            calls.clear()
             gamma_tilde(independence_complex(H))
+            conn_h(independence_complex(H))
+            assert calls == [], H
+            reduced_homology(independence_complex(H))
             assert len(calls) == 1, H
 
 
