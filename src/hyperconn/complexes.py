@@ -56,9 +56,7 @@ class SimplicialComplex:
             if k:
                 maximal += [f for f in by_size[k] if not any(f < g for g in maximal)]
         facets = tuple(sorted(maximal, key=_edge_key))
-        object.__setattr__(self, "vertices", frozenset().union(*facets))
-        object.__setattr__(self, "_facets", facets)
-        object.__setattr__(self, "_nonfaces", None)
+        self.__setstate__((frozenset().union(*facets), facets, None))
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -75,26 +73,33 @@ class SimplicialComplex:
         fs = ", ".join("{" + ",".join(map(str, sorted(f))) + "}" for f in self.facets)
         return f"SimplicialComplex([{fs}])"
 
-    @property
-    def facets(self) -> tuple:
+    def __reduce__(self):
+        return object.__new__, (type(self),), (self.vertices, self._facets, self._nonfaces)
+
+    def __setstate__(self, slots: tuple) -> None:
+        """The one writer of vertices, _facets and _nonfaces; unchecked."""
+        for name, value in zip(self.__slots__, slots):
+            object.__setattr__(self, name, value)
+
+    def _facets_under(self, cap: int | None = None) -> tuple:
         """Maximal faces, sorted by size, then vertices; from kept non-faces,
-        the nonempty complements of their minimal transversals."""
+        the nonempty complements of their minimal transversals, under cap."""
         if self._facets is None:
             verts = self._nonfaces[0]
             found = [
                 self.vertices.difference(verts[i] for i in t)
-                for t in _minimal_transversals(self._nonfaces)
+                for t in _minimal_transversals(self._nonfaces, cap)
             ]
             found.sort(key=_edge_key)
             object.__setattr__(self, "_facets", tuple(f for f in found if f))
         return self._facets
 
+    facets = property(_facets_under)
+
     @property
     def dim(self) -> int:
         """Dimension: largest face size minus one; -1 for the complex {empty}."""
-        if not self.facets:
-            return -1
-        return max(len(f) for f in self.facets) - 1
+        return max(map(len, self.facets), default=0) - 1
 
     @property
     def is_point_only(self) -> bool:
@@ -208,9 +213,7 @@ def independence_complex(C: Hypergraph) -> SimplicialComplex:
     on the empty vertex set.
     """
     delta = object.__new__(SimplicialComplex)
-    object.__setattr__(delta, "vertices", C.vertices)
-    object.__setattr__(delta, "_facets", None)
-    object.__setattr__(delta, "_nonfaces", _bitsets(C.vertices, C.edges))
+    delta.__setstate__((C.vertices, None, _bitsets(C.vertices, C.edges)))
     return delta
 
 

@@ -323,12 +323,13 @@ def _morse_rows(tree, lower: list[int], upper: list[int]) -> list[dict[int, int]
 
 def reduced_homology(delta: SimplicialComplex, cap: int | None = None) -> HomologyProfile:
     """Profile of reduced integer homology groups of the complex: those of
-    _morse_profile, listed through delta.dim, the one value that needs the
-    facets.  Raises CapacityExceeded when the vertex count is over the cap
-    (default 25), before any other work."""
+    _morse_profile, listed through the dimension, the one value that needs
+    the facets, derived under the same cap.  Raises CapacityExceeded when
+    the vertex count is over the cap (default 25), before any other work."""
     morse = _morse_profile(delta, cap)
-    betti = {k: morse.betti_at(k) for k in range(-1, delta.dim + 1)}
-    return HomologyProfile(dim=delta.dim, betti=betti, torsion=morse.torsion)
+    dim = max(map(len, delta._facets_under(cap)), default=0) - 1
+    betti = {k: morse.betti_at(k) for k in range(-1, dim + 1)}
+    return HomologyProfile(dim=dim, betti=betti, torsion=morse.torsion)
 
 
 def _morse_profile(delta: SimplicialComplex, cap: int | None) -> HomologyProfile:

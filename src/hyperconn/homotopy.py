@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import independence_complex, minimal_nonfaces
-from .errors import NotTriangulated, NotUniform, ValidationError
+from .errors import NotTriangulated, NotUniform, ValidationError, VertexNotPresent
 from .extnat import ExtNat
 from .chains import c_max_disjoint, find_decomposition_vertex
 from .fixtures import lutz_acyclic_complex
@@ -99,8 +99,6 @@ def d_set(C: Hypergraph, v: int) -> tuple:
     """Independent sets I with I + {v} an edge; these are E - v over edges
     E containing v, each automatically independent of size |E| - 1."""
     if v not in C.vertices:
-        from .errors import VertexNotPresent
-
         raise VertexNotPresent(f"vertex {v} not in the vertex set")
     out = [e - {v} for e in C.edges if v in e]
     return tuple(sorted(out, key=lambda s: tuple(sorted(s))))

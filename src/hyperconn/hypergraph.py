@@ -71,6 +71,37 @@ def _ones(mask: int):
         mask ^= low
 
 
+def _residual(masks, f: int) -> tuple[int, list]:
+    """(gone, cedges) for the contraction by f, one of the antichain masks:
+    gone is f and its neighbour set, the x with {x} = e - f for an edge e;
+    cedges the minimal diffs e - f of size >= 2, none meeting gone, ascending
+    when masks is.  O(m t) for the t edges meeting f ("touched"): only touched
+    diffs can lie inside an untouched edge, its own diff, and a touched diff
+    e - f holds no untouched edge (it would lie inside e), so minimality is
+    decided among the touched diffs and then tested on the untouched edges."""
+    singles, minimal = 0, []
+    # ascending popcount, since only a strictly smaller set can dominate;
+    # f's own diff is 0, first and a no-op
+    for d in sorted([e & ~f for e in masks if e & f], key=int.bit_count):
+        if d & singles:
+            continue
+        for s in minimal:
+            if s & d == s:
+                break
+        else:
+            if d & (d - 1):
+                minimal.append(d)
+            else:
+                singles |= d
+    gone = f | singles
+    cedges = [e for e in masks if not e & gone]
+    if minimal:
+        cedges = [e for e in cedges if all(s & e != s for s in minimal)]
+        cedges += minimal
+        cedges.sort()
+    return gone, cedges
+
+
 class Hypergraph:
     """A vertex set together with an antichain of edges of size >= 2."""
 
@@ -117,6 +148,9 @@ class Hypergraph:
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")
 
+    def __reduce__(self):
+        return (Hypergraph._trusted, (self.vertices, self.edges))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
@@ -145,9 +179,7 @@ class Hypergraph:
         since no d is determined.
         """
         sizes = {len(e) for e in self.edges}
-        if len(sizes) == 1:
-            return sizes.pop()
-        return None
+        return sizes.pop() if len(sizes) == 1 else None
 
     def degree(self, v: int) -> int:
         if v not in self.vertices:
@@ -217,16 +249,16 @@ class Hypergraph:
         inclusion-minimal sets among {E - F : E an edge, E != F}, keeping
         only those of size >= 2.  Minimality is computed before the size
         filter, so singleton differences (the neighbor set) knock out their
-        supersets first.
+        supersets first.  Built by _residual's touched-edge rule.
         """
         F = frozenset(F)
         if F not in self._edge_set:
             raise EdgeNotPresent(f"edge {sorted(F)} is not an edge")
-        diffs = {e - F for e in self.edges if e != F}
-        minimal = [s for s in diffs if not any(t < s for t in diffs)]
-        new_edges = sorted((s for s in minimal if len(s) >= 2), key=_edge_key)
-        new_vertices = self.vertices - F - self.neighbor_set(F)
-        return Hypergraph._trusted(new_vertices, tuple(new_edges))
+        order, masks, _ = _bitsets(self.vertices, self.edges)
+        gone, cedges = _residual(masks, masks[self.edges.index(F)])
+        new_edges = [frozenset(order[i] for i in _ones(c)) for c in cedges]
+        new_vertices = self.vertices.difference(order[i] for i in _ones(gone))
+        return Hypergraph._trusted(new_vertices, tuple(sorted(new_edges, key=_edge_key)))
 
     def induced(self, A: Iterable[int]) -> "Hypergraph":
         """The induced subhypergraph on A: edges entirely inside A."""

@@ -53,16 +53,8 @@ later queries at any window.
 Every state's edge masks form an antichain: the input Hypergraph rejects
 comparable edges, deleting an edge keeps an antichain, a contraction keeps
 only minimal sets, a component split takes subsets and compaction keeps
-inclusion.  The residual C : F drops F and every vertex x with {x} = e - F
-for some edge e, and keeps as edges the minimal diffs e - F of size at
-least two.  Two consequences make
-it cost O(m t) for the t edges meeting F ("touched"), not O(m^2):
-
-* an untouched edge is its own diff, and the only diffs that can lie
-  inside it are touched diffs, so it survives exactly when it contains no
-  minimal touched diff (a singleton one included);
-* a touched diff e - F never contains an untouched edge u (u would lie
-  inside e), so minimality among the touched diffs alone decides it.
+inclusion.  C : F is hypergraph._residual, whose docstring proves the
+touched-edge rule: O(m t) for m edges, t of them meeting F, not O(m^2).
 
 Two value-preserving shortcuts, both provable from the recursion alone by
 induction (deletion and contraction commute with them edge by edge):
@@ -93,7 +85,7 @@ import operator
 
 from .errors import BudgetExceeded, DepthExceeded, ValidationError
 from .extnat import INF, ExtNat
-from .hypergraph import Hypergraph, _bitsets
+from .hypergraph import Hypergraph, _bitsets, _residual
 from .limits import psi_budget
 
 __all__ = ["PsiSolver", "psi", "psi_naive", "psi_witness", "degree_bound"]
@@ -319,34 +311,9 @@ class PsiSolver:
 
     def _contract_value(self, vmask: int, edges: tuple, i: int) -> ExtNat:
         """psi of the contraction residual by the i-th edge."""
-        f = edges[i]
-        nf = ~f
-        singles = 0
-        minimal = []
-        # only the diffs of edges meeting f need the minimality scan (see
-        # the module docstring); ascending popcount, since only a strictly
-        # smaller set can dominate; f's own diff is 0, first and a no-op
-        for d in sorted([e & nf for e in edges if e & f], key=int.bit_count):
-            if d & singles:
-                continue
-            for s in minimal:
-                if s & d == s:
-                    break
-            else:
-                if d & (d - 1):
-                    minimal.append(d)
-                else:
-                    singles |= d
-        hit = f | singles
-        cedges = [e for e in edges if not e & hit]
-        if minimal:
-            cedges = [e for e in cedges if all(s & e != s for s in minimal)]
-            cedges += minimal
-            cedges.sort()
-        vp = vmask & nf & ~singles
-        # a minimal diff of size >= 2 cannot meet F or a neighbor vertex
-        assert not _cover(cedges) & ~vp
-        return self._val(*_compact(vp, cedges))
+        gone, cedges = _residual(edges, edges[i])
+        assert not _cover(cedges) & gone
+        return self._val(*_compact(vmask & ~gone, cedges))
 
     def _search(self, vmask: int, edges: tuple, alpha: ExtNat, beta: ExtNat) -> tuple:
         """Window evaluation returning proven bounds (lo, hi).
@@ -439,10 +406,18 @@ def _naive(H: Hypergraph, count: list, limit: int) -> ExtNat:
     best: ExtNat = -1
     for F in H.edges:
         deleted = _naive(H.delete_edge(F), count, limit)
-        m = min(deleted, _naive(H.contract(F), count, limit) + len(F) - 1)
+        m = min(deleted, _naive(_naive_contract(H, F), count, limit) + len(F) - 1)
         if m > best:
             best = m
     return best
+
+
+def _naive_contract(H: Hypergraph, F: frozenset) -> Hypergraph:
+    """H : F by its definition, in O(m^2): psi_naive's own contraction."""
+    diffs = {e - F for e in H.edges if e != F}
+    gone = F.union(*(d for d in diffs if len(d) == 1))
+    minimal = [d for d in diffs if len(d) > 1 and not any(t < d for t in diffs)]
+    return Hypergraph(H.vertices - gone, minimal)
 
 
 def degree_bound(C: Hypergraph) -> ExtNat:

@@ -27,6 +27,18 @@ def independent_subsets(vertices, edges) -> set:
     return out
 
 
+def contraction(vertices, edges, F) -> tuple:
+    """(vertices, edges) of the contraction by the edge F, by definition:
+    V - F - N(F), where N(F) holds each x with E - F = {x} for an edge E,
+    and as edges the diffs E - F (E != F) of size >= 2 that contain no
+    other diff, every pair compared."""
+    F = frozenset(F)
+    diffs = [frozenset(E) - F for E in edges if frozenset(E) != F]
+    nbrs = {x for d in diffs if len(d) == 1 for x in d}
+    kept = {d for d in diffs if len(d) >= 2 and not any(t < d for t in diffs)}
+    return frozenset(vertices) - F - nbrs, kept
+
+
 def minimal_nonfaces(vertices, faces) -> set:
     """Subsets of the vertex set outside the face set all of whose
     one-smaller subsets are faces, by full scan."""

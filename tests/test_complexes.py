@@ -1,6 +1,8 @@
 """Simplicial complexes and the independence-complex construction."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -74,8 +76,8 @@ class TestComplexBasics:
             big.faces()
 
     def test_capacity_through_faces(self, monkeypatch):
-        # minimal_nonfaces meets the cap in the minimal-transversal search,
-        # gamma_tilde in the face enumeration
+        # minimal_nonfaces and gamma_tilde both meet the cap in the
+        # minimal-transversal search of _minimal_nonfaces; neither lists faces
         monkeypatch.setenv("HYPERCONN_VERTEX_CAP", "3")
         with pytest.raises(CapacityExceeded):
             minimal_nonfaces(simplex_boundary(range(5)))
@@ -222,6 +224,42 @@ class TestLazyFacets:
             with pytest.raises(CapacityExceeded) as exc:
                 read(independence_complex(H))
             assert str(exc.value) == "30 vertices exceeds the enumeration cap"
+
+
+def copies(delta):
+    return [pickle.loads(pickle.dumps(delta)), copy.copy(delta), copy.deepcopy(delta)]
+
+
+class TestPickleAndCopy:
+    """Unpickling and copying restore the description a complex keeps."""
+
+    def test_round_trips_compare_equal(self):
+        rng = random.Random(43)
+        pool = [SimplicialComplex([]), full_simplex([1, 2]), simplex_boundary(range(4))]
+        pool += [lutz_acyclic_complex()]
+        for _ in range(10):
+            facets = [rng.sample(range(8), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))]
+            pool.append(SimplicialComplex(facets))
+        for delta in pool:
+            for got in copies(delta):
+                assert type(got) is SimplicialComplex
+                assert got == delta and got.facets == delta.facets
+                assert got.vertices == delta.vertices and hash(got) == hash(delta)
+                with pytest.raises(AttributeError):
+                    got.facets = ()
+
+    def test_independence_complex_keeps_its_nonfaces(self):
+        # no facets are derived by the round trip, so path(30), over the
+        # vertex cap, copies; its minimal non-faces are still its edges
+        rng = random.Random(45)
+        pool = [random_hypergraph(rng, 7) for _ in range(20)] + [fixture("path(30)")]
+        for H in pool:
+            delta = independence_complex(H)
+            for got in copies(delta):
+                assert got._facets is None and got._nonfaces == delta._nonfaces
+                assert minimal_nonfaces(got) == H
+                if len(H.vertices) <= 25:
+                    assert got == delta
 
 
 class TestOperations:

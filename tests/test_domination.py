@@ -166,9 +166,9 @@ class TestOneMMCS:
         calls = []
         real = complexes._minimal_transversals
 
-        def counted(bits):
+        def counted(bits, cap=None):
             calls.append(len(bits[1]))
-            return real(bits)
+            return real(bits, cap)
 
         monkeypatch.setattr(complexes, "_minimal_transversals", counted)
         rng = random.Random(37)

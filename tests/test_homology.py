@@ -357,6 +357,12 @@ class TestCoreduction:
         # a cap above the default also reaches the search for minimal non-faces
         ring = SimplicialComplex((i, i % 26 + 1) for i in range(1, 27))
         assert reduced_homology(ring, cap=26).betti_at(1) == 1
+        # and the facets that an independence complex derives for its dim:
+        # Ind(C_26) = S^8 (Kozlov), as the environment's cap of 26 gives
+        by_cap = reduced_homology(independence_complex(cycle_hypergraph(26)), cap=26)
+        assert by_cap.connectivity() == 7 and by_cap.betti_at(8) == 1
+        monkeypatch.setenv("HYPERCONN_VERTEX_CAP", "26")
+        assert reduced_homology(independence_complex(cycle_hypergraph(26))) == by_cap
         monkeypatch.setenv("HYPERCONN_VERTEX_CAP", "4")
         with pytest.raises(CapacityExceeded):
             reduced_homology(simplex_boundary(range(5)))

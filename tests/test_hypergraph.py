@@ -1,6 +1,8 @@
 """Hypergraph construction, validation, and the two reduction operations."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -157,6 +159,19 @@ class TestOperations:
         B = Hypergraph({3, 2, 1}, [frozenset({2, 1})])
         assert A == B and hash(A) == hash(B)
         assert A != Hypergraph([1, 2], [{1, 2}])
+
+
+class TestPickleAndCopy:
+    def test_round_trips_compare_equal(self):
+        rng = random.Random(44)
+        pool = [Hypergraph([], []), Hypergraph([4], []), c5()]
+        pool += [random_hypergraph(rng, 8) for _ in range(20)]
+        for H in pool:
+            for K in (pickle.loads(pickle.dumps(H)), copy.copy(H), copy.deepcopy(H)):
+                assert type(K) is Hypergraph
+                assert K == H and K.edges == H.edges and hash(K) == hash(H)
+                with pytest.raises(AttributeError):
+                    K.edges = ()
 
 
 class TestRandomizedInvariants:
