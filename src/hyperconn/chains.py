@@ -374,27 +374,15 @@ def _ends_at(g: int):
     return lambda seq: True if seq[-1] == g else None
 
 
-def _distance(T: _StepTable, f: int, g: int, limit: int) -> int | None:
-    """Least n <= limit with a proper chain of n steps from edge index f to
-    g, by iterative deepening over edge sequences; None when there is none.
-    A chain reaching g below the current depth would have been found at a
-    smaller one, so g is only ever met at full depth."""
-    at_g = _ends_at(g)
-    for depth in range(1, limit + 1):
-        if _walk(T, f, depth, at_g) is not None:
-            return depth
-    return None
+def shortest_chain(C: Hypergraph, F, G) -> ProperChain | None:
+    """A shortest proper chain from F to G, or None when there is none.
 
-
-def shortest_chain(
-    C: Hypergraph, F, G, max_length: int | None = None
-) -> ProperChain | None:
-    """A shortest proper chain from F to G within the length bound.
-
-    None when no proper chain of length <= max_length exists.  The default
-    bound, one less than the edge count, is exhaustive since chain edges
-    are distinct.  Deterministic: the first chain of the canonical edge
-    and pivot order, rebuilt by the self-reduction of the module docstring.
+    Iterative deepening over edge sequences up to one step less than the
+    edge count, the most a chain of distinct edges can take.  A chain
+    reaching G below the current depth would have been found at a smaller
+    one, so G is only ever met at full depth.  Deterministic: the first
+    chain of the canonical edge and pivot order, rebuilt by the
+    self-reduction of the module docstring.
     """
     F = frozenset(F)
     G = frozenset(G)
@@ -405,11 +393,11 @@ def shortest_chain(
         return ProperChain(edges=(F,), pivots=())
     f, g = C.edges.index(F), C.edges.index(G)
     T = _StepTable(C)
-    limit = len(C.edges) - 1 if max_length is None else max_length
-    n = _distance(T, f, g, limit)
+    at_g = _ends_at(g)
+    depths = range(1, len(C.edges))
+    n = next((d for d in depths if _walk(T, f, d, at_g) is not None), None)
     if n is None:
         return None
-    at_g = _ends_at(g)
     seq, pivots = [f], []
     avail, banned = ~(1 << f), 0
     for left in range(n - 1, -1, -1):

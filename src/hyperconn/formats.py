@@ -150,14 +150,21 @@ def parse_json(text: str, name: str = "") -> HypergraphDocument:
     edges = data.get("edges", [])
     if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
         raise ParseError("edges must be a list of lists")
-    str_edges = [tuple(str(x) for x in e) for e in edges]
+    str_edges = [tuple(map(_json_label, e)) for e in edges]
     if verts is None:
         verts = {x for e in str_edges for x in e}
     elif isinstance(verts, list):
-        verts = [str(x) for x in verts]
+        verts = list(map(_json_label, verts))
     else:
         raise ParseError("vertices must be a list")
     return HypergraphDocument(doc_name, verts, str_edges)
+
+
+def _json_label(x) -> str:
+    # a bool is an int to Python, but true is no integer label
+    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
+        return str(x)
+    raise ParseError(f"label {json.dumps(x)} is not a string or an integer")
 
 
 def emit_json(doc: HypergraphDocument) -> str:

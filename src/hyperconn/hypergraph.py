@@ -110,7 +110,7 @@ class Hypergraph:
     def __init__(self, vertices: Iterable[int], edges: Iterable[Iterable[int]]):
         vset = frozenset(vertices)
         for v in vset:
-            if not isinstance(v, int):
+            if not isinstance(v, int) or isinstance(v, bool):
                 raise ValidationError(f"vertex {v!r} is not an int")
         eset = {frozenset(e) for e in edges}
         for e in eset:

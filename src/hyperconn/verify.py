@@ -2,9 +2,11 @@
 
 Each suite pairs a deterministic instance generator with a pure per-instance
 check.  Instances are drawn sequentially from a stream seeded by
-``f"{seed}:{suite_name}"`` and serialized to the text interchange format, so
-a report is bit-identical across runs with the same seed and across worker
-counts, and any recorded counterexample can be replayed on its own.
+``f"{seed}:{suite_name}"``, each hypergraph stored as the JSON document the
+CLI reads, ``{"vertices": ids, "edges": [edge, ...]}``, so a report is
+bit-identical across runs with the same seed and across worker counts, and
+any recorded counterexample replays on its own: through ``replay``, or as
+JSON piped into ``hyperconn psi -``.
 
 Checks may be evaluated in parallel (``workers > 1``); results are folded in
 generation order, which keeps the report independent of scheduling.
@@ -34,12 +36,6 @@ from .domination import epsilon, gamma_tilde
 from .errors import NotTriangulated, ValidationError
 from .extnat import INF, ceil_half, parse_ext
 from .fixtures import fixture
-from .formats import (
-    document_to_hypergraph,
-    emit_text,
-    hypergraph_to_document,
-    parse_text,
-)
 from .generators import (
     all_graphs,
     chordal_graphs,
@@ -66,12 +62,19 @@ __all__ = [
 ]
 
 
-def _to_text(H: Hypergraph) -> str:
-    return emit_text(hypergraph_to_document(H))
+def _doc(H: Hypergraph) -> dict:
+    return {"vertices": sorted(H.vertices), "edges": [sorted(e) for e in H.edges]}
 
 
-def _from_text(text: str) -> Hypergraph:
-    return document_to_hypergraph(parse_text(text))[0]
+def _hypergraph(doc) -> Hypergraph:
+    """The hypergraph of an instance document; anything else, such as the
+    text instance of an older report, raises ValidationError."""
+    try:
+        if isinstance(doc, dict) and doc.keys() == {"vertices", "edges"}:
+            return Hypergraph(doc["vertices"], doc["edges"])
+    except TypeError:
+        pass
+    raise ValidationError(f"instance is not a vertices/edges document: {doc!r}")
 
 
 def _ok(checks: int) -> dict:
@@ -121,28 +124,28 @@ def _check_fixtures(payload):
 
 
 _GROUND_TRUTH = [
-    ("", "0"),
-    ("vertices: 1 2 3\n", "inf"),
-    ("1 2\n", "1"),
-    ("1 2\n3 4\n", "2"),
+    ({"vertices": [], "edges": []}, "0"),
+    ({"vertices": [1, 2, 3], "edges": []}, "inf"),
+    ({"vertices": [1, 2], "edges": [[1, 2]]}, "1"),
+    ({"vertices": [1, 2, 3, 4], "edges": [[1, 2], [3, 4]]}, "2"),
 ]
 
 
 def _gen_ground_truth(rng, samples, max_vertices):
     out = [{"instance": t, "expect": e} for t, e in _GROUND_TRUTH]
     for name, expect in [("c4", "1"), ("c5", "2"), ("path(4)", "inf")]:
-        out.append({"instance": _to_text(fixture(name)), "expect": expect})
+        out.append({"instance": _doc(fixture(name)), "expect": expect})
     mv = min(max_vertices, 7)
     while len(out) < samples + len(_GROUND_TRUTH) + 3:
         H = random_hypergraph(rng, mv)
         if len(H.edges) > 5:
             continue
-        out.append({"instance": _to_text(H), "expect": None})
+        out.append({"instance": _doc(H), "expect": None})
     return out
 
 
 def _check_ground_truth(payload):
-    H = _from_text(payload["instance"])
+    H = _hypergraph(payload["instance"])
     a = psi(H)
     b = psi_naive(H)
     if a != b:
@@ -171,15 +174,15 @@ def _gen_conn_bound(rng, samples, max_vertices):
     out = []
     for n in range(1, min(6, max_vertices) + 1):
         for G in all_graphs(n):
-            out.append({"instance": _to_text(G)})
+            out.append({"instance": _doc(G)})
     for _ in range(samples):
         H = random_uniform_hypergraph(rng, min(max_vertices, 8), 3, max_edges=12)
-        out.append({"instance": _to_text(H)})
+        out.append({"instance": _doc(H)})
     return out
 
 
 def _check_conn_bound(payload):
-    H = _from_text(payload["instance"])
+    H = _hypergraph(payload["instance"])
     p = psi(H)
     ch = conn_h(independence_complex(H))
     if not ch >= p - 2:
@@ -201,13 +204,13 @@ def _gen_structural(rng, samples, max_vertices):
         if not H.edges:
             continue
         out.append(
-            {"instance": _to_text(H), "edge": rng.randrange(len(H.edges))}
+            {"instance": _doc(H), "edge": rng.randrange(len(H.edges))}
         )
     return out
 
 
 def _check_structural(payload):
-    H = _from_text(payload["instance"])
+    H = _hypergraph(payload["instance"])
     F = H.edges[payload["edge"]]
     dele = H.delete_edge(F)
     cont = H.contract(F)
@@ -230,7 +233,7 @@ def _check_structural(payload):
 
 
 def _check_mayer_vietoris(payload):
-    H = _from_text(payload["instance"])
+    H = _hypergraph(payload["instance"])
     F = H.edges[payload["edge"]]
     pa = reduced_homology(independence_complex(H))
     pb = reduced_homology(independence_complex(H.delete_edge(F)))
@@ -265,13 +268,13 @@ def _gen_join(rng, samples, max_vertices):
             (v + off for v in b.vertices),
             [frozenset(v + off for v in e) for e in b.edges],
         )
-        out.append({"c1": _to_text(a), "c2": _to_text(b)})
+        out.append({"c1": _doc(a), "c2": _doc(b)})
     return out
 
 
 def _check_join(payload):
-    a = _from_text(payload["c1"])
-    b = _from_text(payload["c2"])
+    a = _hypergraph(payload["c1"])
+    b = _hypergraph(payload["c2"])
     # component decomposition inside the solver would assume the identity
     # under test, so it stays off for all three evaluations
     pa = psi(a, solver=PsiSolver(decompose_components=False))
@@ -309,7 +312,7 @@ def _total_domination_number(G: Hypergraph):
 
 
 def _check_domination(payload):
-    H = _from_text(payload["instance"])
+    H = _hypergraph(payload["instance"])
     ind = independence_complex(H)
     g = gamma_tilde(ind)
     n = len(H.vertices)
@@ -353,15 +356,15 @@ def _gen_properly_connected(rng, samples, max_vertices):
     for n in range(1, min(6, max_vertices) + 1):
         for G in all_graphs(n):
             if G.edges and is_properly_connected(G):
-                out.append({"instance": _to_text(G)})
+                out.append({"instance": _doc(G)})
     for _ in range(max(samples // 4, 10) if samples else 0):
         H = random_triangulated_uniform(rng, 3, min(max_vertices, 8))
-        out.append({"instance": _to_text(H)})
+        out.append({"instance": _doc(H)})
     return out
 
 
 def _check_properly_connected(payload):
-    H = _from_text(payload["instance"])
+    H = _hypergraph(payload["instance"])
     if not is_properly_connected(H):
         return _fail(1, "instance is not properly connected")
     checks = 1
@@ -392,19 +395,19 @@ def _gen_triangulated(rng, samples, max_vertices):
     out = []
     for n in range(1, min(7, max_vertices) + 1):
         for G in chordal_graphs(n):
-            out.append({"instance": _to_text(G)})
+            out.append({"instance": _doc(G)})
     # 4-uniform draws come after the 3-uniform ones, so a seed draws the
     # same 3-uniform instances as before they were added; below four
     # vertices there is no 4-uniform instance to draw
     draws = [3] * samples + [4] * (samples // 2 if max_vertices >= 4 else 0)
     for d in draws:
         H = random_triangulated_uniform(rng, d, min(max_vertices, 8))
-        out.append({"instance": _to_text(H)})
+        out.append({"instance": _doc(H)})
     return out
 
 
 def _check_triangulated(payload):
-    H = _from_text(payload["instance"])
+    H = _hypergraph(payload["instance"])
     try:
         t = homotopy_type_triangulated(H)
     except NotTriangulated as exc:

@@ -245,6 +245,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "psi", str(p))
         assert code == 2 and err
 
+    def test_json_label_neither_string_nor_integer(self, capsys, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text('{"edges": [[1, null]]}')
+        code, out, err = run(capsys, "psi", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "null" in err and "Traceback" not in err
+
     def test_non_utf8_file(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_bytes(b"\xff1 2\n")

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,6 +119,18 @@ class TestJson:
             parse_json('{"edges": "oops"}')
         with pytest.raises(ParseError):
             parse_json('{"vertices": 3, "edges": []}')
+        # labels are strings or integers; anything else is named, not
+        # turned into a string such as "1.0", "None", "True" or "[2]"
+        for text, label in [
+            ('{"edges": [[1, 2], [1.0, 3]]}', "1.0"),
+            ('{"edges": [[1, null]]}', "null"),
+            ('{"edges": [[true, 2]]}', "true"),
+            ('{"edges": [[[2], 3]]}', "[2]"),
+            ('{"vertices": [1, 2, false], "edges": [[1, 2]]}', "false"),
+            ('{"edges": [[1, {"a": 2}]]}', '{"a": 2}'),
+        ]:
+            with pytest.raises(ParseError, match=f"label {re.escape(label)} "):
+                parse_json(text)
 
     def test_non_json_rejected(self):
         with pytest.raises(ParseError):

@@ -30,6 +30,9 @@ class TestValidation:
     def test_vertices_must_be_ints(self):
         with pytest.raises(ValidationError):
             Hypergraph(["a", "b"], [{"a", "b"}])
+        # a bool is an int to Python, but not a vertex id
+        with pytest.raises(ValidationError):
+            Hypergraph([True, 2], [{True, 2}])
 
     def test_edge_size_at_least_two(self):
         with pytest.raises(EdgeTooSmall):

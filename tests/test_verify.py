@@ -1,11 +1,12 @@
 """The verification harness itself: determinism, replay, aggregation."""
 
 import json
+import random
 
 import pytest
 
 import hyperconn.verify as verify
-from hyperconn import ValidationError
+from hyperconn import ValidationError, document_to_hypergraph, parse_json
 
 
 @pytest.fixture
@@ -108,9 +109,27 @@ class TestReplay:
     def test_passing_payload_replays_clean(self):
         out = verify.replay(
             {"suite": "ground-truth",
-             "payload": {"instance": "1 2\n3 4\n", "expect": "2"}}
+             "payload": {"instance": {"vertices": [1, 2, 3, 4], "edges": [[1, 2], [3, 4]]},
+                         "expect": "2"}}
         )
         assert out["ok"] and out["detail"] is None
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            "1 2\n3 4\n",  # the text instance of an older report
+            ["1 2", "3 4"],
+            {"edges": [[1, 2]]},
+            {"name": "", "vertices": [1, 2], "edges": [[1, 2]]},
+            {"vertices": 3, "edges": []},
+            {"vertices": [1, 2], "edges": [[1, [2]]]},
+        ],
+    )
+    def test_other_instances_raise_validation_error(self, instance):
+        with pytest.raises(ValidationError, match="not a vertices/edges document"):
+            verify.replay(
+                {"suite": "ground-truth", "payload": {"instance": instance, "expect": "2"}}
+            )
 
     def test_recorded_failure_replays_to_same_failure(self, monkeypatch):
         # break one check, capture the emitted counterexample, restore the
@@ -137,3 +156,18 @@ class TestReplay:
         r = verify.run_suite("ground-truth", seed=9, samples=3, max_vertices=5)
         json.dumps(r.to_dict())  # must not raise
         assert r.failures == r.instances
+
+
+class TestInstances:
+    @pytest.mark.parametrize("name", verify.SUITE_NAMES)
+    def test_instance_is_the_json_document_the_cli_reads(self, name):
+        # every hypergraph a generator stores, both halves of a join too,
+        # parses back through the JSON reader to the hypergraph its check builds
+        payloads = verify._SUITES[name][0](random.Random(f"1:{name}"), 6, 6)
+        docs = [p[k] for p in payloads for k in ("instance", "c1", "c2") if k in p]
+        assert docs or name in ("fixtures", "splitting-family")
+        for doc in docs:
+            H = verify._hypergraph(doc)
+            assert doc == {"vertices": sorted(H.vertices),
+                           "edges": [sorted(e) for e in H.edges]}
+            assert document_to_hypergraph(parse_json(json.dumps(doc)))[0] == H
